@@ -109,6 +109,17 @@ class RetryPolicy:
 # ----------------------------------------------------------------------
 # Run manifest (checkpoint/resume)
 # ----------------------------------------------------------------------
+def _encode_entry(name: str, entry: Any) -> str:
+    """One ``"name": {...}`` member of the manifest's ``tasks`` object.
+
+    The entry is indented as it sits inside the document (two levels
+    deep).  JSON escapes newlines inside strings, so every newline in
+    the encoding is layout and can take the extra indent.
+    """
+    text = json.dumps(entry, indent=2).replace("\n", "\n    ")
+    return f"{json.dumps(name)}: {text}"
+
+
 class RunManifest:
     """The on-disk checkpoint of a campaign: one JSON entry per task.
 
@@ -118,11 +129,18 @@ class RunManifest:
     artifacts: their reproduction checks).  The file is rewritten
     atomically (temp file + rename) after every task, so a kill at any
     point leaves a loadable manifest.
+
+    Each entry is JSON-encoded once: :meth:`save` caches the encoded
+    text per task and re-encodes an entry only when ``tasks`` holds a
+    different object under its name.  A save therefore encodes only the
+    new entry, although it still rewrites the whole file.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.tasks: Dict[str, Dict[str, Any]] = {}
+        # Task name -> (the entry object, its encoded text).
+        self._encoded: Dict[str, Tuple[Dict[str, Any], str]] = {}
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
@@ -140,9 +158,13 @@ class RunManifest:
             raise CampaignError(
                 f"run manifest {manifest.path} is unreadable: {exc}"
             ) from exc
-        if not isinstance(data, dict) or "tasks" not in data:
+        tasks = data.get("tasks") if isinstance(data, dict) else None
+        if not isinstance(tasks, dict) or not all(
+            isinstance(entry, dict) for entry in tasks.values()
+        ):
             raise CampaignError(
-                f"run manifest {manifest.path} is malformed (no tasks object)"
+                f"run manifest {manifest.path} is malformed (tasks must be "
+                "an object of entry objects)"
             )
         version = data.get("version")
         if isinstance(version, int) and version > MANIFEST_VERSION:
@@ -159,7 +181,7 @@ class RunManifest:
                 f"this runner writes version {MANIFEST_VERSION} "
                 "(delete the manifest to start a fresh campaign)"
             )
-        manifest.tasks = dict(data["tasks"])
+        manifest.tasks = dict(tasks)
         return manifest
 
     def is_done(self, name: str) -> bool:
@@ -181,19 +203,25 @@ class RunManifest:
 
         Task entries are written in sorted-name order so the file layout
         does not depend on completion order — a parallel campaign and a
-        serial one produce the same manifest structure.
+        serial one produce the same manifest structure.  The text is
+        byte-identical to ``json.dumps({"version": ..., "tasks": ...},
+        indent=2)``, assembled from per-entry fragments encoded once.
         """
-        payload = json.dumps(
-            {
-                "version": MANIFEST_VERSION,
-                "tasks": {name: self.tasks[name] for name in sorted(self.tasks)},
-            },
-            indent=2,
-        )
+        encoded = {}
+        for name in sorted(self.tasks):
+            entry = self.tasks[name]
+            cached = self._encoded.get(name)
+            if cached is None or cached[0] is not entry:
+                cached = (entry, _encode_entry(name, entry))
+            encoded[name] = cached
+        self._encoded = encoded
+        members = ",\n    ".join(fragment for _, fragment in encoded.values())
+        tasks = "{\n    " + members + "\n  }" if members else "{}"
         # The manifest is the campaign's resume point: ESSENTIAL.
         persist_text(
             self.path,
-            payload + "\n",
+            f'{{\n  "version": {json.dumps(MANIFEST_VERSION)},\n'
+            f'  "tasks": {tasks}\n}}\n',
             site="manifest",
             durability=Durability.ESSENTIAL,
         )
@@ -240,6 +268,25 @@ class TaskOutcome:
         return self.status in ("done", "skipped")
 
 
+def _failed_checks(entry: Dict[str, Any]) -> bool:
+    """Whether a manifest entry's payload records failed checks."""
+    payload = entry.get("payload")
+    return isinstance(payload, dict) and payload.get("passed") is False
+
+
+def _label(status: str, entry: Optional[Dict[str, Any]]) -> str:
+    """The progress/summary label of one task outcome.
+
+    A done task whose payload records failed checks is ``FAIL``, as in
+    ``SUMMARY.txt``: the task ran, but its artifact did not reproduce.
+    """
+    if status == "done":
+        return "FAIL" if entry is not None and _failed_checks(entry) else "PASS"
+    return {"skipped": "SKIP", "quarantined": "QUARANTINED"}.get(
+        status, status.upper()
+    )
+
+
 @dataclass
 class CampaignResult:
     """Everything one :meth:`CampaignRunner.run` call produced."""
@@ -264,19 +311,16 @@ class CampaignResult:
             return False
         if self.manifest is not None:
             for entry in self.manifest.tasks.values():
-                if entry.get("status") != "done":
-                    return False
-                payload = entry.get("payload")
-                if isinstance(payload, dict) and payload.get("passed") is False:
+                if entry.get("status") != "done" or _failed_checks(entry):
                     return False
         return True
 
     def summary(self) -> str:
         """One line per task of this run."""
-        labels = {"done": "PASS", "skipped": "SKIP", "quarantined": "QUARANTINED"}
         lines = []
         for outcome in self.outcomes:
-            label = labels.get(outcome.status, outcome.status.upper())
+            entry = self.manifest.entry(outcome.name) if self.manifest else None
+            label = _label(outcome.status, entry)
             suffix = f"  ({outcome.error})" if outcome.error else ""
             lines.append(f"{label:11} {outcome.name}{suffix}")
         return "\n".join(lines)
@@ -489,8 +533,7 @@ class CampaignRunner:
             outcome = self._run_task(name, thunk, manifest)
             result.outcomes.append(outcome)
             if progress is not None:
-                tag = "PASS" if outcome.status == "done" else "QUARANTINED"
-                progress(f"{name}: {tag}")
+                progress(f"{name}: {_label(outcome.status, manifest.entry(name))}")
         return result
 
     def _run_parallel(
@@ -528,8 +571,8 @@ class CampaignRunner:
             outcome = self._record_pool_result(pool_result, manifest)
             outcomes[outcome.name] = outcome
             if progress is not None:
-                tag = "PASS" if outcome.status == "done" else "QUARANTINED"
-                progress(f"{outcome.name}: {tag}")
+                label = _label(outcome.status, manifest.entry(outcome.name))
+                progress(f"{outcome.name}: {label}")
 
         pool = TaskPool(
             jobs=self.jobs,

@@ -119,6 +119,22 @@ class TestPerformanceDoc:
         ):
             assert needle in self.text, f"PERFORMANCE.md must cover {needle!r}"
 
+    def test_covers_the_benchmark(self):
+        assert "## Benchmark\n" in self.text
+        for needle in (
+            "python3 perfbench/run.py --workload all",
+            "BENCHMARK.json",
+            "dense-shared",
+            "sparse-think",
+            "fuzz-campaign",
+            "repro-all",
+        ):
+            assert needle in self.text, f"PERFORMANCE.md must cover {needle!r}"
+
+    def test_readme_links_the_benchmark(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        assert "](docs/PERFORMANCE.md#benchmark)" in readme
+
     def test_matches_the_code_constants(self):
         from repro.sim import cache
 

@@ -216,6 +216,18 @@ class TestManifestAndResume:
         path.write_text("not json at all {")
         with pytest.raises(CampaignError, match="unreadable"):
             RunManifest.load(path)
+        # Valid JSON whose tasks are not an object of entry objects.
+        for data in (
+            {"version": 1},
+            {"version": 1, "tasks": "abc"},
+            {"version": 1, "tasks": [1, 2]},
+            {"version": 1, "tasks": None},
+            {"version": 1, "tasks": {"a": 5}},
+            {"version": 1, "tasks": {"a": {}, "b": []}},
+        ):
+            path.write_text(json.dumps(data))
+            with pytest.raises(CampaignError, match="malformed"):
+                RunManifest.load(path)
 
     def test_wrong_version_is_a_campaign_error(self, tmp_path):
         path = tmp_path / "m.json"
@@ -492,16 +504,33 @@ class TestRunAllRobust:
 
         monkeypatch.setattr(runner_mod, "artifact_steps", self.fake_steps)
         out = tmp_path / "results"
-        result = run_all_robust(out_dir=out)
+        lines = []
+        result = run_all_robust(out_dir=out, progress=lines.append)
         assert (out / "alpha.txt").read_text() == "table of alpha\n"
         assert (out / "manifest.json").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary == {"alpha": {"ok": True}, "beta": {"ok": False}}
         assert "PASS  alpha" in (out / "SUMMARY.txt").read_text()
         assert "FAIL  beta" in (out / "SUMMARY.txt").read_text()
-        # beta completed but its checks failed: the campaign is not ok.
+        # beta completed but its checks failed: the campaign is not ok,
+        # and neither the progress lines nor the summary call it a PASS.
         assert not result.quarantined
         assert not result.all_ok
+        assert lines == ["alpha: PASS", "beta: FAIL"]
+        assert result.summary().splitlines() == ["PASS        alpha", "FAIL        beta"]
+
+    def test_failed_checks_are_labelled_fail_in_parallel(self, tmp_path):
+        lines = []
+        runner = CampaignRunner(
+            manifest_path=tmp_path / "m.json",
+            payload_of=lambda passed: {"passed": passed},
+            jobs=2,
+        )
+        result = runner.run(
+            [("good", lambda: True), ("bad", lambda: False)], progress=lines.append
+        )
+        assert sorted(lines) == ["bad: FAIL", "good: PASS"]
+        assert result.summary().splitlines() == ["PASS        good", "FAIL        bad"]
 
     def test_cli_all_exit_codes(self, tmp_path, monkeypatch, capsys):
         import repro.experiments.runner as runner_mod
