@@ -125,10 +125,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.tracing import JsonlTraceSink, trace_digest
 from repro.robustness.checkpoint import (
-    AutoCheckpointPolicy,
-    clear_auto_checkpoints,
-    default_checkpoint_path,
-    install_auto_checkpoints,
     load_checkpoint,
     run_resumable,
     save_checkpoint,
@@ -356,10 +352,6 @@ __all__ = [
     "campaign_metrics",
     "run_all_robust",
     "sweep_seeds_robust",
-    "AutoCheckpointPolicy",
-    "clear_auto_checkpoints",
-    "default_checkpoint_path",
-    "install_auto_checkpoints",
     "load_checkpoint",
     "run_resumable",
     "save_checkpoint",

@@ -77,36 +77,6 @@ def _export_metrics(registry, path: str) -> int:
 
 
 @contextlib.contextmanager
-def _auto_checkpoints(args: argparse.Namespace):
-    """Install the process-wide checkpoint policy for one command.
-
-    Engaged by ``--checkpoint-dir``: every simulation the command runs
-    (including in fork-pool workers, which inherit the policy) writes
-    periodic crash-consistent checkpoints there and resumes from them
-    after a kill, with byte-identical output.
-    """
-    directory = getattr(args, "checkpoint_dir", None)
-    if not directory:
-        yield
-        return
-    from repro.robustness.checkpoint import (
-        DEFAULT_POLL_SLOTS,
-        clear_auto_checkpoints,
-        install_auto_checkpoints,
-    )
-
-    every = args.checkpoint_every
-    secs = args.checkpoint_every_secs
-    if every is None and secs is None:
-        every = DEFAULT_POLL_SLOTS
-    install_auto_checkpoints(directory, every_slots=every, every_secs=secs)
-    try:
-        yield
-    finally:
-        clear_auto_checkpoints()
-
-
-@contextlib.contextmanager
 def _result_cache(args: argparse.Namespace):
     """Install the process-wide result cache for one command.
 
@@ -174,22 +144,25 @@ def _rss_limit_bytes(args: argparse.Namespace) -> Optional[int]:
     return None if mb is None else mb * (1 << 20)
 
 
-def _checkpoint_interval_without_path(args: argparse.Namespace) -> bool:
-    """--checkpoint-every* without --checkpoint is a usage error."""
-    if args.checkpoint:
+def _bad_checkpoint_interval(args: argparse.Namespace) -> bool:
+    """Report a --checkpoint-every the run cannot use (a usage error)."""
+    if args.checkpoint_every is None:
         return False
-    if args.checkpoint_every is None and args.checkpoint_every_secs is None:
+    if not args.checkpoint:
+        problem = "--checkpoint-every needs --checkpoint PATH to write to"
+    elif args.checkpoint_every <= 0:
+        problem = (
+            "--checkpoint-every must be a positive slot count, got "
+            f"{args.checkpoint_every}"
+        )
+    else:
         return False
-    print(
-        "error: --checkpoint-every/--checkpoint-every-secs need "
-        "--checkpoint PATH to write to",
-        file=sys.stderr,
-    )
+    print(f"error: {problem}", file=sys.stderr)
     return True
 
 
 def _cmd_fig7(args: argparse.Namespace) -> int:
-    with _auto_checkpoints(args), _result_cache(args):
+    with _result_cache(args):
         result = run_fig7(
             num_requests=args.requests,
             seed=args.seed,
@@ -218,7 +191,7 @@ def _cmd_fig7(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
-    with _auto_checkpoints(args), _result_cache(args):
+    with _result_cache(args):
         result = run_fig8(
             args.subfigure,
             num_requests=args.requests,
@@ -305,7 +278,7 @@ def _cmd_simulate_inner(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, checked=True)
     if args.engine:
         config = dataclasses.replace(config, engine=args.engine)
-    if _checkpoint_interval_without_path(args):
+    if _bad_checkpoint_interval(args):
         return 2
     suite = get_suite(args.suite)
     if args.seeds:
@@ -323,8 +296,7 @@ def _cmd_simulate_inner(args: argparse.Namespace) -> int:
                 f"error: {', '.join(conflicting)} cannot be combined with "
                 "--seeds: a sweep has no single report to export or "
                 "checkpoint (--metrics aggregates across seeds and is "
-                "allowed; use 'all --checkpoint-dir' for campaign-level "
-                "checkpointing)",
+                "allowed)",
                 file=sys.stderr,
             )
             return 2
@@ -343,7 +315,6 @@ def _cmd_simulate_inner(args: argparse.Namespace) -> int:
             traces,
             checkpoint_path=args.checkpoint,
             checkpoint_every_slots=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
         )
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -512,49 +483,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     config = build_system_for_notation(args.notation, num_cores=args.cores)
     if args.record_metrics:
         config = dataclasses.replace(config, record_metrics=True)
-    if _checkpoint_interval_without_path(args):
-        return 2
     traces = get_suite(args.suite).build(
         num_cores=args.cores,
         num_requests=args.requests,
         address_range=args.range,
         seed=args.seed,
     )
-    from pathlib import Path
-
-    from repro.common.errors import CheckpointError
-
     sink = None
     if args.trace:
         try:
-            if args.checkpoint and Path(args.checkpoint).exists():
-                # Resuming: rewind the trace file to the checkpointed
-                # offset so the resumed run appends exactly where the
-                # snapshot left off (byte-identical final trace).
-                from repro.robustness.checkpoint import (
-                    checkpoint_sink_states,
-                )
-
-                states = checkpoint_sink_states(args.checkpoint)
-                if states:
-                    sink = JsonlTraceSink.reopen(args.trace, states[0])
-            if sink is None:
-                sink = JsonlTraceSink(args.trace)
-        except (ObservabilityError, CheckpointError) as exc:
+            sink = JsonlTraceSink(args.trace)
+        except ObservabilityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:
-        report = simulate(
-            config,
-            traces,
-            event_sink=sink,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every_slots=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
-        )
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = simulate(config, traces, event_sink=sink)
     finally:
         if sink is not None:
             sink.close()
@@ -570,7 +513,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.experiments.compare import compare_notations
 
-    with _auto_checkpoints(args), _result_cache(args):
+    with _result_cache(args):
         result = compare_notations(
             args.notations,
             suite=args.suite,
@@ -610,9 +553,6 @@ def _cmd_all(args: argparse.Namespace) -> int:
             progress=print,
             with_metrics=bool(args.metrics),
             engine=args.engine,
-            checkpoint_dir=args.checkpoint_dir,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_every_secs=args.checkpoint_every_secs,
             hung_after=args.hung_after,
             max_restarts=args.worker_restarts,
             rss_limit_bytes=_rss_limit_bytes(args),
@@ -768,58 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
             "config's engine, normally 'fast')",
         )
 
-    def add_checkpoint_file_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--checkpoint",
-            metavar="PATH",
-            default=None,
-            help="run resumably: periodically write a crash-consistent "
-            "checkpoint of the full simulator state to PATH, and resume "
-            "from it if the file already exists; a killed run resumed "
-            "this way produces byte-identical reports, metrics and "
-            "traces (the file is removed on normal completion)",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every",
-            type=int,
-            metavar="SLOTS",
-            default=None,
-            help="checkpoint interval in TDM slots (default: 16384)",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every-secs",
-            type=float,
-            metavar="SECS",
-            default=None,
-            help="checkpoint interval in wall-clock seconds (may be "
-            "combined with --checkpoint-every)",
-        )
-
-    def add_checkpoint_dir_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--checkpoint-dir",
-            metavar="DIR",
-            default=None,
-            help="checkpoint every simulation this command runs into DIR "
-            "(one file per configuration+workload, inherited by --jobs "
-            "workers); a killed run resumed with the same flags produces "
-            "byte-identical artifacts",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every",
-            type=int,
-            metavar="SLOTS",
-            default=None,
-            help="checkpoint interval in TDM slots (default: 16384)",
-        )
-        sub_parser.add_argument(
-            "--checkpoint-every-secs",
-            type=float,
-            metavar="SECS",
-            default=None,
-            help="checkpoint interval in wall-clock seconds",
-        )
-
     def add_supervision_args(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--hung-after",
@@ -836,9 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             metavar="N",
             default=0,
-            help="restart a hung or memory-killed task up to N times "
-            "before quarantining it (restarts resume from the last "
-            "checkpoint when --checkpoint-dir is set; default: 0)",
+            help="rerun a hung or memory-killed task from the start up "
+            "to N times before quarantining it (default: 0)",
         )
         sub_parser.add_argument(
             "--worker-rss-limit-mb",
@@ -904,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(fig7)
     add_metrics_arg(fig7)
     add_engine_arg(fig7)
-    add_checkpoint_dir_args(fig7)
     add_cache_args(fig7)
     add_io_fault_args(fig7)
     fig7.add_argument(
@@ -928,7 +814,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(fig8)
     add_metrics_arg(fig8)
     add_engine_arg(fig8)
-    add_checkpoint_dir_args(fig8)
     add_cache_args(fig8)
     add_io_fault_args(fig8)
     fig8.set_defaults(func=_cmd_fig8)
@@ -982,7 +867,23 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(simulate_cmd)
     add_metrics_arg(simulate_cmd)
     add_engine_arg(simulate_cmd)
-    add_checkpoint_file_args(simulate_cmd)
+    simulate_cmd.add_argument(
+        "--checkpoint",
+        metavar="PATH",
+        default=None,
+        help="run resumably: periodically write a crash-consistent "
+        "checkpoint of the full simulator state to PATH, and resume "
+        "from it if the file already exists; a killed run resumed "
+        "this way produces byte-identical reports and metrics (the "
+        "file is removed on normal completion)",
+    )
+    simulate_cmd.add_argument(
+        "--checkpoint-every",
+        type=int,
+        metavar="SLOTS",
+        default=None,
+        help="checkpoint interval in TDM slots (default: 16384)",
+    )
     add_cache_args(simulate_cmd)
     add_io_fault_args(simulate_cmd)
     simulate_cmd.add_argument("--json", help="write the aggregate report here")
@@ -1014,7 +915,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream every engine event to PATH as JSON lines while "
         "the simulation runs (O(1) memory, any run length)",
     )
-    add_checkpoint_file_args(stats_cmd)
     add_io_fault_args(stats_cmd)
     stats_cmd.set_defaults(func=_cmd_stats)
 
@@ -1075,7 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(all_cmd)
     add_metrics_arg(all_cmd)
     add_engine_arg(all_cmd)
-    add_checkpoint_dir_args(all_cmd)
     add_cache_args(all_cmd)
     add_io_fault_args(all_cmd)
     add_supervision_args(all_cmd)
@@ -1163,7 +1062,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs_arg(compare_cmd)
     add_metrics_arg(compare_cmd)
     add_engine_arg(compare_cmd)
-    add_checkpoint_dir_args(compare_cmd)
     add_cache_args(compare_cmd)
     add_io_fault_args(compare_cmd)
     compare_cmd.set_defaults(func=_cmd_compare)

@@ -127,9 +127,9 @@ class PersistenceError(ReproError):
     must not retry it again — it propagates to the CLI, which reports
     the offending path and exits nonzero.
 
-    BEST-EFFORT artifacts (result-cache entries, auto-checkpoints) never
-    raise this; they degrade through a per-store circuit breaker and the
-    run continues with correct results.
+    BEST-EFFORT artifacts (result-cache entries) never raise this; they
+    degrade through a per-store circuit breaker and the run continues
+    with correct results.
     """
 
 
@@ -141,7 +141,7 @@ class CheckpointError(ReproError):
     fingerprint mismatches (restoring against a different configuration
     or different traces), and simulator states that cannot be
     checkpointed at all (caller-supplied oracle callbacks, foreign
-    engine hooks, non-file event sinks).
+    engine hooks, attached event sinks).
     """
 
 

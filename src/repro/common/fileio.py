@@ -31,7 +31,7 @@ Failures are governed by a two-class **durability policy**
 
 ``BEST_EFFORT``
     Acceleration/convenience state the run can recompute (result-cache
-    entries, auto-checkpoints).  A per-site circuit breaker disables
+    entries).  A per-site circuit breaker disables
     the store after :data:`DEGRADE_AFTER` consecutive failures with a
     one-line stderr notice; every lost write is counted in the
     ``io.degraded.*`` / ``io.skipped.*`` metrics and the run continues

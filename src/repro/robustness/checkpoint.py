@@ -11,8 +11,12 @@ arrays and the in-memory event log.  Restoring it into a freshly built
 simulator of the same configuration and traces puts the system into a
 state from which the run continues *bit-identically*: a run killed at
 any instant and resumed from its last checkpoint produces the same
-report, the same metrics export and the same trace bytes as an
-uninterrupted run.
+report and the same metrics export as an uninterrupted run.
+
+Checkpoints are for one explicitly requested long simulation
+(``simulate(..., checkpoint_path=...)``, ``repro-llc simulate
+--checkpoint PATH``).  Campaigns resume at task granularity through
+their manifests instead.
 
 Design notes
 ------------
@@ -39,8 +43,8 @@ Design notes
   :class:`~repro.common.errors.CheckpointError` up front: ``oracle``
   replacement policies (the victim chooser is an arbitrary caller
   callback), foreign pre/post-slot hooks (fault injectors keep private
-  state), and event sinks other than a path-owning
-  :class:`~repro.obs.tracing.JsonlTraceSink`.
+  state), and attached event sinks (a streamed trace's side effects
+  live outside the simulator).
 """
 
 from __future__ import annotations
@@ -48,10 +52,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.bus.buffers import (
     PendingRequest,
@@ -73,9 +75,8 @@ from repro.cache.replacement import (
     RoundRobinPolicy,
 )
 from repro.cache.sa_cache import SetAssociativeCache
-from repro.common.errors import CheckpointError
+from repro.common.errors import CheckpointError, ConfigurationError
 from repro.common.fileio import (
-    Durability,
     cleanup_stale_tmp,
     count_io,
     persist_text,
@@ -90,15 +91,13 @@ from repro.sim.events import EventKind, SimEvent
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: File-format discriminator, so an unrelated JSON file is rejected
 #: with a clear message instead of a cryptic missing-key error.
 CHECKPOINT_KIND = "repro-sim-checkpoint"
 
-#: The default checkpoint interval, in slots; also the poll granularity
-#: when only a time-based interval is configured (the loop must pause
-#: the engine to look at the clock).  A save costs O(live state +
+#: The default checkpoint interval, in slots.  A save costs O(live state +
 #: completed requests), so the interval bounds the steady-state
 #: overhead (benchmarked < 10% in
 #: ``benchmarks/test_bench_checkpoint_overhead.py``) while a kill loses
@@ -153,22 +152,6 @@ def trace_fingerprints(traces: Mapping[int, MemoryTrace]) -> Dict[str, str]:
         str(core): trace_fingerprint(trace)
         for core, trace in sorted(traces.items())
     }
-
-
-def combined_fingerprint(config, traces: Mapping[int, MemoryTrace]) -> str:
-    """One short stable identity for (config, traces) — names files."""
-    digest = hashlib.sha256()
-    digest.update(config_fingerprint(config).encode())
-    for core, fp in sorted(trace_fingerprints(traces).items()):
-        digest.update(f"{core}:{fp}".encode())
-    return digest.hexdigest()
-
-
-def default_checkpoint_path(
-    directory: Union[str, Path], config, traces: Mapping[int, MemoryTrace]
-) -> Path:
-    """Deterministic checkpoint filename for one (config, traces) run."""
-    return Path(directory) / f"sim-{combined_fingerprint(config, traces)[:24]}.ckpt"
 
 
 # ----------------------------------------------------------------------
@@ -609,21 +592,12 @@ def _check_checkpointable(sim) -> None:
                 "installed; only the checked-mode invariant monitor is "
                 "re-seedable on restore"
             )
-
-
-def _sink_states(sim) -> List[Dict[str, Any]]:
-    from repro.obs.tracing import JsonlTraceSink
-
-    states: List[Dict[str, Any]] = []
-    for sink in sim.engine.events._sinks:
-        if not isinstance(sink, JsonlTraceSink):
-            raise CheckpointError(
-                "cannot checkpoint an engine with a non-JsonlTraceSink "
-                f"event sink ({type(sink).__name__}); arbitrary sink state "
-                "cannot be carried across a restore"
-            )
-        states.append(sink.checkpoint_state())
-    return states
+    if engine.events._sinks:
+        raise CheckpointError(
+            "cannot checkpoint an engine with an attached event sink: a "
+            "streamed trace's output lives outside the simulator; record "
+            "events in memory (record_events) or run without the sink"
+        )
 
 
 def snapshot_simulator(sim) -> Dict[str, Any]:
@@ -702,7 +676,6 @@ def snapshot_simulator(sim) -> Dict[str, Any]:
         "traces": trace_fingerprints(
             {core_id: core.trace for core_id, core in sim.system.cores.items()}
         ),
-        "sinks": _sink_states(sim),
         "state": state,
     }
 
@@ -730,13 +703,6 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
         raise CheckpointError(
             "checkpoint was taken under different workload traces; restore "
             "with the same traces or delete the checkpoint to start fresh"
-        )
-    if len(payload["sinks"]) != len(sim.engine.events._sinks):
-        raise CheckpointError(
-            f"checkpoint recorded {len(payload['sinks'])} event sink(s) but "
-            f"{len(sim.engine.events._sinks)} are attached; reopen the trace "
-            "sink(s) from the checkpoint's sink state before restoring "
-            "(see JsonlTraceSink.reopen)"
         )
 
     engine = sim.engine
@@ -802,22 +768,12 @@ def restore_simulator(sim, payload: Mapping[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # File format
 # ----------------------------------------------------------------------
-def save_checkpoint(
-    sim,
-    path: Union[str, Path],
-    registry=None,
-    *,
-    durability: Durability = Durability.ESSENTIAL,
-    site: str = "checkpoint",
-) -> Optional[Path]:
+def save_checkpoint(sim, path: Union[str, Path], registry=None) -> Path:
     """Snapshot ``sim`` and write it crash-consistently to ``path``.
 
-    An explicitly requested checkpoint file is ESSENTIAL (a failed save
-    raises :class:`~repro.common.errors.PersistenceError` after bounded
-    retries); auto-checkpoints installed via the directory policy are
-    saved BEST-EFFORT (``site="auto-checkpoint"``) — a failed save
-    degrades through the circuit breaker, returns ``None`` and the
-    simulation continues uncheckpointed but correct.
+    The checkpoint file is ESSENTIAL: a failed save raises
+    :class:`~repro.common.errors.PersistenceError` after bounded
+    retries, leaving the previous checkpoint generation intact.
     """
     payload = snapshot_simulator(sim)
     body = _canonical(payload)
@@ -826,10 +782,8 @@ def save_checkpoint(
     # the payload a second time: "integrity" < "payload" sorts first, so
     # the bytes match a full canonical dump of the document exactly.
     document = '{"integrity":"%s","payload":%s}' % (digest, body)
-    target = persist_text(
-        path, document + "\n", site=site, durability=durability
-    )
-    if registry is not None and target is not None:
+    target = persist_text(path, document + "\n", site="checkpoint")
+    if registry is not None:
         registry.counter("checkpoint.saves").inc()
         registry.counter("checkpoint.bytes").inc(len(document) + 1)
     return target
@@ -877,97 +831,15 @@ def load_checkpoint(path: Union[str, Path], registry=None) -> Dict[str, Any]:
             "upgrade this installation or delete the checkpoint to rerun "
             "from scratch"
         )
-    if version < 1:
+    if version < CHECKPOINT_VERSION:
         raise CheckpointError(
-            f"checkpoint {path} has unsupported version {version}"
+            f"checkpoint {path} has unsupported version {version} (this "
+            f"build reads version {CHECKPOINT_VERSION}); delete it to "
+            "rerun from scratch"
         )
     if registry is not None:
         registry.counter("checkpoint.restores").inc()
     return payload
-
-
-def checkpoint_sink_states(path: Union[str, Path]) -> List[Dict[str, Any]]:
-    """The trace-sink resume states recorded in a checkpoint file.
-
-    Callers that traced to disk use this *before* building the restore
-    sink: ``JsonlTraceSink.reopen(trace_path, states[0])`` truncates the
-    trace file back to the checkpointed offset so resumed events append
-    exactly where the checkpoint left off.
-    """
-    return list(load_checkpoint(path)["sinks"])
-
-
-# ----------------------------------------------------------------------
-# Auto-checkpoint policy and the resumable drive loop
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AutoCheckpointPolicy:
-    """Process-wide periodic checkpointing installed by the CLI/runner.
-
-    ``directory`` receives one checkpoint file per (config, traces)
-    identity (:func:`default_checkpoint_path`), so concurrent campaign
-    tasks — and fork-pool workers, which inherit the installed policy —
-    never collide.  ``every_slots`` checkpoints at slot-count intervals;
-    ``every_secs`` at wall-clock intervals (polled every
-    ``DEFAULT_POLL_SLOTS`` slots).  At least one must be set.
-    """
-
-    directory: Path
-    every_slots: Optional[int] = None
-    every_secs: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.every_slots is None and self.every_secs is None:
-            raise CheckpointError(
-                "an auto-checkpoint policy needs every_slots or every_secs"
-            )
-        if self.every_slots is not None and self.every_slots <= 0:
-            raise CheckpointError(
-                f"every_slots must be positive, got {self.every_slots}"
-            )
-        if self.every_secs is not None and self.every_secs <= 0:
-            raise CheckpointError(
-                f"every_secs must be positive, got {self.every_secs}"
-            )
-
-
-_AUTO_POLICY: Optional[AutoCheckpointPolicy] = None
-
-
-def install_auto_checkpoints(
-    directory: Union[str, Path],
-    every_slots: Optional[int] = None,
-    every_secs: Optional[float] = None,
-) -> AutoCheckpointPolicy:
-    """Install the process-wide auto-checkpoint policy.
-
-    Every subsequent :func:`repro.sim.simulator.simulate` call without
-    explicit checkpoint arguments runs resumably against ``directory``.
-    Fork-pool workers inherit the installed policy, which is how the
-    campaign runner threads checkpointing through ``fig7``/``fig8``/
-    ``compare``/``all`` without each experiment knowing.  ``fuzz`` is
-    the deliberate exception: its cases carry fault hooks and oracle
-    recordings (both refused by :func:`save_checkpoint`) and resume at
-    case granularity through the fuzz manifest instead.
-    """
-    global _AUTO_POLICY
-    _AUTO_POLICY = AutoCheckpointPolicy(
-        directory=Path(directory),
-        every_slots=every_slots,
-        every_secs=every_secs,
-    )
-    return _AUTO_POLICY
-
-
-def clear_auto_checkpoints() -> None:
-    """Remove the process-wide auto-checkpoint policy."""
-    global _AUTO_POLICY
-    _AUTO_POLICY = None
-
-
-def auto_checkpoint_policy() -> Optional[AutoCheckpointPolicy]:
-    """The installed policy, if any."""
-    return _AUTO_POLICY
 
 
 def run_resumable(
@@ -976,57 +848,46 @@ def run_resumable(
     *,
     path: Union[str, Path],
     every_slots: Optional[int] = None,
-    every_secs: Optional[float] = None,
     start_cycles=None,
     event_sink=None,
     engine: Optional[str] = None,
     registry=None,
-    clock: Callable[[], float] = time.monotonic,
-    durability: Durability = Durability.ESSENTIAL,
-    site: str = "checkpoint",
 ):
     """Run a simulation with periodic checkpoints, resuming if one exists.
 
-    The drive loop pauses the engine every ``every_slots`` slots (or
-    every ``DEFAULT_POLL_SLOTS`` when only ``every_secs`` is given),
-    writes a crash-consistent checkpoint, and continues.  If ``path``
-    already holds a checkpoint, the run resumes from it instead of
-    starting over; the checkpoint file is deleted on normal completion.
-    The returned report — and any metrics/trace output built from the
-    simulator — is byte-identical to an uninterrupted run.
-
-    ``durability`` governs the periodic saves (see
-    :func:`save_checkpoint`).  Under ``BEST_EFFORT`` a checkpoint that
-    fails to *load* (corrupted on disk) is also tolerated: the bad file
-    is deleted, counted in ``io.degraded.<site>``, and the run restarts
-    from scratch — an auto-checkpoint is an accelerator, never a
-    correctness dependency.
+    The drive loop pauses the engine every ``every_slots`` slots
+    (default ``DEFAULT_POLL_SLOTS``), writes a crash-consistent
+    checkpoint, and continues.  If ``path`` already holds a checkpoint,
+    the run resumes from it instead of starting over; the checkpoint
+    file is deleted on normal completion.  The returned report — and
+    any metrics output built from it — is byte-identical to an
+    uninterrupted run.
     """
     from repro.sim.simulator import Simulator
 
+    interval = DEFAULT_POLL_SLOTS if every_slots is None else every_slots
+    if interval <= 0:
+        raise ConfigurationError(
+            f"the checkpoint interval must be a positive slot count, "
+            f"got {interval}"
+        )
     path = Path(path)
     cleanup_stale_tmp(path)
-    sim = None
     if path.exists():
-        try:
-            sim = Simulator.restore(
-                path,
-                config,
-                traces,
-                start_cycles=start_cycles,
-                event_sink=event_sink,
-                engine=engine,
-                registry=registry,
-            )
-        except CheckpointError:
-            if durability is Durability.ESSENTIAL:
-                raise
-            count_io(f"io.degraded.{site}")
-            path.unlink(missing_ok=True)
-    if sim is None:
+        sim = Simulator.restore(
+            path,
+            config,
+            traces,
+            start_cycles=start_cycles,
+            event_sink=event_sink,
+            engine=engine,
+            registry=registry,
+        )
+    else:
         sim = Simulator(config, traces, start_cycles, event_sink, engine)
-    interval = every_slots if every_slots is not None else DEFAULT_POLL_SLOTS
-    last_save = clock()
+        # Refuse an uncheckpointable run before simulating, not at the
+        # first save.
+        _check_checkpointable(sim)
     while True:
         sim.engine.advance(stop_at_slot=sim.engine._slot + interval)
         if sim.engine.run_complete():
@@ -1042,11 +903,4 @@ def run_resumable(
                 # restored end-state replays to the same report.
                 count_io("io.swallowed.checkpoint-unlink")
             return report
-        if every_secs is not None:
-            now = clock()
-            if now - last_save < every_secs:
-                continue
-            last_save = now
-        save_checkpoint(
-            sim, path, registry=registry, durability=durability, site=site
-        )
+        save_checkpoint(sim, path, registry=registry)

@@ -393,9 +393,8 @@ class CampaignRunner:
         Worker supervision for the parallel path, forwarded to
         :class:`repro.sim.parallel.TaskPool`: a liveness watchdog that
         tears down workers gone silent for ``hung_after`` seconds
-        (restarting their task up to ``max_restarts`` times — resuming
-        from the last simulation checkpoint when the auto-checkpoint
-        policy is installed), a per-worker resident-memory ceiling, and
+        (rerunning their task from the start up to ``max_restarts``
+        times), a per-worker resident-memory ceiling, and
         an optional metrics registry for the supervision counters.
         Hung and resource-killed tasks that exhaust their restarts are
         quarantined with ``TaskHungError`` / ``ResourceExceededError``
@@ -790,9 +789,6 @@ def run_all_robust(
     with_metrics: bool = False,
     engine: Optional[str] = None,
     cache_dir: Optional[Union[str, Path]] = None,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    checkpoint_every: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
     hung_after: Optional[float] = None,
     max_restarts: int = 0,
     rss_limit_bytes: Optional[int] = None,
@@ -833,21 +829,10 @@ def run_all_robust(
     workers, through the shared directory); cached campaigns produce
     byte-identical artifacts, summaries and metrics exports.
 
-    ``checkpoint_dir`` (with ``checkpoint_every`` slots and/or
-    ``checkpoint_every_secs``) installs the process-wide auto-checkpoint
-    policy for the duration of the campaign: every simulation inside
-    every artifact — in this process and in fork-pool workers, which
-    inherit the policy — periodically writes a crash-consistent
-    checkpoint to ``checkpoint_dir`` and resumes from it after a kill,
-    with byte-identical artifacts.  ``hung_after`` / ``max_restarts`` /
-    ``rss_limit_bytes`` / ``registry`` supervise the worker pool (see
-    :class:`CampaignRunner`).
+    ``hung_after`` / ``max_restarts`` / ``rss_limit_bytes`` /
+    ``registry`` supervise the worker pool (see :class:`CampaignRunner`).
     """
     from repro.experiments.runner import artifact_steps
-    from repro.robustness.checkpoint import (
-        clear_auto_checkpoints,
-        install_auto_checkpoints,
-    )
 
     target = Path(out_dir) if out_dir is not None else None
     if target is not None:
@@ -892,21 +877,9 @@ def run_all_robust(
         from repro.sim.cache import install_result_cache
 
         install_result_cache(cache_dir, registry=registry)
-    if checkpoint_dir is not None:
-        if checkpoint_every is None and checkpoint_every_secs is None:
-            from repro.robustness.checkpoint import DEFAULT_POLL_SLOTS
-
-            checkpoint_every = DEFAULT_POLL_SLOTS
-        install_auto_checkpoints(
-            checkpoint_dir,
-            every_slots=checkpoint_every,
-            every_secs=checkpoint_every_secs,
-        )
     try:
         result = runner.run(tasks, resume=resume, progress=progress)
     finally:
-        if checkpoint_dir is not None:
-            clear_auto_checkpoints()
         if cache_dir is not None:
             from repro.sim.cache import clear_result_cache
 

@@ -501,12 +501,8 @@ class SimResultCache:
         try:
             payload = _checked_payload(path, data, expected_key)
         except CheckpointError as exc:
-            counter = (
-                "version_mismatch"
-                if "version" in str(exc)
-                else "corruption"
-            )
-            self._count(counter)
+            skewed = isinstance(exc, _VersionSkew)
+            self._count("version_mismatch" if skewed else "corruption")
             path.unlink(missing_ok=True)
             return None
         return payload
@@ -597,6 +593,10 @@ def _key_of_entry(path: Path) -> str:
     return name
 
 
+class _VersionSkew(CheckpointError):
+    """An intact entry written under another cache or model version."""
+
+
 def _checked_payload(
     path: Path, data: bytes, expected_key: Optional[str]
 ) -> Dict[str, Any]:
@@ -608,7 +608,9 @@ def _checked_payload(
     (a flipped byte anywhere in the payload), wrong kind, malformed or
     mismatched version, an embedded key that does not match the
     requested one (two entries swapped on disk), or an event-log
-    fingerprint that does not cover the stored events.
+    fingerprint that does not cover the stored events.  Version and
+    model-schema skew raise the :class:`_VersionSkew` subclass, so the
+    caller counts it apart from corruption.
     """
     try:
         text = data.decode("utf-8")
@@ -638,12 +640,12 @@ def _checked_payload(
         )
     version = payload.get("version")
     if version != RESULT_CACHE_VERSION:
-        raise CheckpointError(
+        raise _VersionSkew(
             f"cache entry {path} has version {version!r}; this build "
             f"reads version {RESULT_CACHE_VERSION}"
         )
     if payload.get("model_schema_version") != MODEL_SCHEMA_VERSION:
-        raise CheckpointError(
+        raise _VersionSkew(
             f"cache entry {path} was written under model schema version "
             f"{payload.get('model_schema_version')!r}, not "
             f"{MODEL_SCHEMA_VERSION}"
@@ -675,7 +677,7 @@ def _checked_payload(
 
 
 # ----------------------------------------------------------------------
-# Process-wide policy (mirrors the auto-checkpoint policy)
+# Process-wide policy
 # ----------------------------------------------------------------------
 _ACTIVE_CACHE: Optional[SimResultCache] = None
 

@@ -28,10 +28,7 @@ Design notes
   syscall) from merely *slow* (still heartbeating; allowed to run to
   its hard ``timeout``).  A hung worker is torn down with an escalating
   SIGTERM → grace → SIGKILL sequence and, if ``max_restarts`` allows,
-  its task is restarted — resuming from its last simulation checkpoint
-  when the auto-checkpoint policy is installed (see
-  :mod:`repro.robustness.checkpoint`), so the restart re-does only the
-  slots since the last snapshot.
+  its task is rerun from the start in a fresh worker.
 * **Resource guards.**  With ``rss_limit_bytes`` set, each child caps
   its own address space via ``RLIMIT_DATA`` (allocation beyond it
   raises ``MemoryError``) and the parent additionally polls
@@ -245,9 +242,8 @@ class TaskPool:
         ``hung_after`` so several beats must be missed before the
         watchdog fires.
     max_restarts:
-        Times a hung or resource-killed task is restarted before being
-        quarantined.  Restarted simulations resume from their last
-        checkpoint when the auto-checkpoint policy is installed.
+        Times a hung or resource-killed task is rerun from the start
+        before being quarantined.
     rss_limit_bytes:
         Per-worker resident-memory ceiling, enforced both inside the
         child (``RLIMIT_DATA``) and by a parent-side ``/proc`` poll.

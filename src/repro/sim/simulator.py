@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Mapping, Optional
 
+from repro.common.errors import ConfigurationError
 from repro.common.types import CoreId, Cycle
 from repro.sim.config import SystemConfig
 from repro.sim.engine import SlotEngine
@@ -86,9 +87,6 @@ class Simulator:
         ``config`` and ``traces`` must match the ones the checkpoint
         was written under (verified by fingerprint); the run then
         continues bit-identically to one that was never interrupted.
-        A run that traced events to disk must pass an ``event_sink``
-        reopened from the checkpoint's recorded sink state (see
-        :meth:`repro.obs.tracing.JsonlTraceSink.reopen`).
         """
         from repro.robustness.checkpoint import (
             load_checkpoint,
@@ -109,7 +107,6 @@ def simulate(
     engine: Optional[str] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
 ) -> SimReport:
     """Build the system described by ``config``, replay ``traces``.
 
@@ -122,14 +119,10 @@ def simulate(
     run only (``"fast"`` or ``"reference"``) — the CLI's ``--engine``
     flag lands here.
 
-    Passing ``checkpoint_path`` (plus an interval) runs resumably: the
-    simulation periodically writes a crash-consistent checkpoint and, if
-    the file already exists, resumes from it instead of starting over —
-    with a byte-identical final report.  When no explicit checkpoint
-    arguments are given, a process-wide auto-checkpoint policy installed
-    via :func:`repro.robustness.checkpoint.install_auto_checkpoints`
-    (e.g. by the CLI's ``--checkpoint-dir``) applies; fork-pool workers
-    inherit it, which is how campaign tasks checkpoint transparently.
+    Passing ``checkpoint_path`` runs resumably: the simulation writes a
+    crash-consistent checkpoint every ``checkpoint_every_slots`` slots
+    (default 16384) and, if the file already exists, resumes from it
+    instead of starting over — with a byte-identical final report.
 
     When a process-wide result cache is installed
     (:func:`repro.sim.cache.install_result_cache`, the CLI's
@@ -142,6 +135,16 @@ def simulate(
     cache: the sink's side effects happen during the run and cannot be
     replayed from a stored result.
     """
+    if checkpoint_every_slots is not None:
+        if checkpoint_path is None:
+            raise ConfigurationError(
+                "a checkpoint interval was given without checkpoint_path"
+            )
+        if checkpoint_every_slots <= 0:
+            raise ConfigurationError(
+                "the checkpoint interval must be a positive slot count, "
+                f"got {checkpoint_every_slots}"
+            )
     from repro.sim.cache import active_result_cache
 
     cache = active_result_cache()
@@ -160,7 +163,6 @@ def simulate(
             engine,
             checkpoint_path,
             checkpoint_every_slots,
-            checkpoint_every_secs,
         )
         cache.store(cached_config, traces, start_cycles, report)
         return report
@@ -172,7 +174,6 @@ def simulate(
         engine,
         checkpoint_path,
         checkpoint_every_slots,
-        checkpoint_every_secs,
     )
 
 
@@ -184,61 +185,18 @@ def _simulate_uncached(
     engine: Optional[str] = None,
     checkpoint_path=None,
     checkpoint_every_slots: Optional[int] = None,
-    checkpoint_every_secs: Optional[float] = None,
 ) -> SimReport:
     """The build-run-report path of :func:`simulate`, cache-free."""
-    if checkpoint_path is None and checkpoint_every_slots is None:
-        from repro.robustness.checkpoint import auto_checkpoint_policy
+    if checkpoint_path is None:
+        return Simulator(config, traces, start_cycles, event_sink, engine).run()
+    from repro.robustness.checkpoint import run_resumable
 
-        policy = auto_checkpoint_policy()
-        if policy is not None:
-            from repro.robustness.checkpoint import (
-                default_checkpoint_path,
-                run_resumable,
-            )
-
-            from repro.common.fileio import Durability
-
-            run_config = config
-            if engine is not None and engine != config.engine:
-                run_config = dataclasses.replace(config, engine=engine)
-            # Policy-driven auto-checkpoints are an accelerator the run
-            # can live without: save them BEST-EFFORT so a full scratch
-            # directory degrades the store instead of killing the run.
-            return run_resumable(
-                config,
-                traces,
-                path=default_checkpoint_path(
-                    policy.directory, run_config, traces
-                ),
-                every_slots=policy.every_slots,
-                every_secs=policy.every_secs,
-                start_cycles=start_cycles,
-                event_sink=event_sink,
-                engine=engine,
-                durability=Durability.BEST_EFFORT,
-                site="auto-checkpoint",
-            )
-    if checkpoint_path is None and (
-        checkpoint_every_slots is not None or checkpoint_every_secs is not None
-    ):
-        from repro.common.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "a checkpoint interval was given without checkpoint_path; "
-            "pass checkpoint_path or install an auto-checkpoint policy"
-        )
-    if checkpoint_path is not None:
-        from repro.robustness.checkpoint import run_resumable
-
-        return run_resumable(
-            config,
-            traces,
-            path=checkpoint_path,
-            every_slots=checkpoint_every_slots,
-            every_secs=checkpoint_every_secs,
-            start_cycles=start_cycles,
-            event_sink=event_sink,
-            engine=engine,
-        )
-    return Simulator(config, traces, start_cycles, event_sink, engine).run()
+    return run_resumable(
+        config,
+        traces,
+        path=checkpoint_path,
+        every_slots=checkpoint_every_slots,
+        start_cycles=start_cycles,
+        event_sink=event_sink,
+        engine=engine,
+    )

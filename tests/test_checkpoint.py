@@ -26,11 +26,9 @@ from repro.obs.exporters import metrics_to_jsonl, write_metrics
 from repro.obs.metrics import MetricsRegistry
 from repro.robustness.checkpoint import (
     CHECKPOINT_VERSION,
-    AutoCheckpointPolicy,
-    combined_fingerprint,
     config_fingerprint,
-    default_checkpoint_path,
     load_checkpoint,
+    run_resumable,
     save_checkpoint,
     snapshot_simulator,
     trace_fingerprint,
@@ -53,7 +51,7 @@ def _workload(seed=7, length=300, blocks=32):
 
 
 # ----------------------------------------------------------------------
-# Fingerprints and default paths
+# Fingerprints
 # ----------------------------------------------------------------------
 def test_fingerprints_separate_configs_and_traces():
     config = small_config()
@@ -66,18 +64,6 @@ def test_fingerprints_separate_configs_and_traces():
     )
     assert trace_fingerprint(write_trace_of([1, 2, 3])) != trace_fingerprint(
         write_trace_of([1, 2, 4])
-    )
-
-
-def test_default_checkpoint_path_is_stable_and_distinct(tmp_path):
-    config = small_config()
-    traces = _workload()
-    path = default_checkpoint_path(tmp_path, config, traces)
-    assert path.parent == tmp_path
-    assert path.name == f"sim-{combined_fingerprint(config, traces)[:24]}.ckpt"
-    assert path == default_checkpoint_path(tmp_path, config, traces)
-    assert path != default_checkpoint_path(
-        tmp_path, dataclasses.replace(config, seed=2), traces
     )
 
 
@@ -379,20 +365,67 @@ def test_sigterm_during_fsync_keeps_previous_checkpoint_valid(
 
 
 # ----------------------------------------------------------------------
-# Auto-checkpoint policy validation and simulate() plumbing
+# simulate() / run_resumable() / CLI interval plumbing
 # ----------------------------------------------------------------------
-def test_auto_policy_validation(tmp_path):
-    with pytest.raises(CheckpointError, match="every_slots or every_secs"):
-        AutoCheckpointPolicy(directory=tmp_path)
-    with pytest.raises(CheckpointError, match="must be positive"):
-        AutoCheckpointPolicy(directory=tmp_path, every_slots=0)
-    with pytest.raises(CheckpointError, match="must be positive"):
-        AutoCheckpointPolicy(directory=tmp_path, every_secs=-1.0)
+def _forbid_saves(monkeypatch):
+    """A zero-progress drive loop would save forever; fail fast instead."""
+
+    def no_save(*args, **kwargs):
+        raise AssertionError("checkpoint saved with a non-positive interval")
+
+    monkeypatch.setattr(
+        "repro.robustness.checkpoint.save_checkpoint", no_save
+    )
 
 
-def test_simulate_rejects_interval_without_path():
+def test_simulate_rejects_interval_without_path(tmp_path, monkeypatch):
     with pytest.raises(ConfigurationError, match="without checkpoint_path"):
         simulate(small_config(), _workload(), checkpoint_every_slots=16)
+
+    # A zero or negative interval makes no progress between saves.
+    _forbid_saves(monkeypatch)
+    path = tmp_path / "run.ckpt"
+    for every in (0, -5):
+        with pytest.raises(ConfigurationError, match="positive slot count"):
+            simulate(
+                small_config(),
+                _workload(),
+                checkpoint_path=path,
+                checkpoint_every_slots=every,
+            )
+        with pytest.raises(ConfigurationError, match="positive slot count"):
+            run_resumable(
+                small_config(), _workload(), path=path, every_slots=every
+            )
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("every", ["0", "-5"])
+def test_cli_rejects_nonpositive_checkpoint_interval(
+    tmp_path, monkeypatch, capsys, every
+):
+    from repro.cli import main
+
+    _forbid_saves(monkeypatch)
+    path = tmp_path / "x.ckpt"
+    status = main(
+        [
+            "simulate",
+            "SS(1,16,4)",
+            "--requests",
+            "50",
+            "--checkpoint",
+            str(path),
+            "--checkpoint-every",
+            every,
+        ]
+    )
+    assert status == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [
+        f"error: --checkpoint-every must be a positive slot count, got {every}"
+    ]
+    assert not path.exists()
 
 
 # ----------------------------------------------------------------------

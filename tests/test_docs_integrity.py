@@ -99,6 +99,21 @@ class TestCrossLinks:
             assert path.exists(), f"{doc.name}: broken link -> {target}"
 
 
+class TestRemovedFeatures:
+    def test_docs_do_not_mention_removed_checkpoint_features(self):
+        """Checkpoints cover one explicit run; the cut features stay cut."""
+        removed = (
+            "--checkpoint-dir",
+            "--checkpoint-every-secs",
+            "install_auto_checkpoints",
+            "JsonlTraceSink.reopen",
+        )
+        for doc in DOC_FILES:
+            text = doc.read_text()
+            for needle in removed:
+                assert needle not in text, f"{doc.name} mentions {needle}"
+
+
 class TestPerformanceDoc:
     """docs/PERFORMANCE.md carries the result-cache contract."""
 

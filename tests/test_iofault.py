@@ -299,11 +299,11 @@ class TestBestEffortPolicy:
             out = persist_text(
                 tmp_path / "other.json",
                 "x",
-                site="auto-checkpoint",
+                site="other-store",
                 durability=Durability.BEST_EFFORT,
             )
         assert fileio.circuit_breaker("result-cache").open
-        assert not fileio.circuit_breaker("auto-checkpoint").open
+        assert not fileio.circuit_breaker("other-store").open
         assert out is not None
 
 
@@ -383,48 +383,6 @@ class TestDegradedRuns:
         assert _counter("io.degraded.result-cache") >= 1
         assert cache.registry.counter("sim_cache.stores").value == 0
         assert list((tmp_path / "cache").glob("*.tmp")) == []
-
-    def test_auto_checkpoint_failure_degrades_run_stays_correct(
-        self, tmp_path
-    ):
-        from repro.robustness.checkpoint import (
-            clear_auto_checkpoints,
-            install_auto_checkpoints,
-        )
-
-        config = small_config()
-        traces = _workload(length=120)
-        reference = simulate(config, traces)
-        install_auto_checkpoints(tmp_path / "ckpts", every_slots=16)
-        try:
-            with io_faults(plan("enospc@1x*,site=auto-checkpoint")):
-                degraded = simulate(config, traces)
-        finally:
-            clear_auto_checkpoints()
-        assert degraded.latencies() == reference.latencies()
-        assert _counter("io.degraded.auto-checkpoint") >= 1
-        assert list((tmp_path / "ckpts").glob("*.tmp")) == []
-
-    def test_corrupt_auto_checkpoint_restarts_instead_of_crashing(
-        self, tmp_path
-    ):
-        from repro.robustness.checkpoint import run_resumable
-
-        config = small_config()
-        traces = _workload(length=120)
-        reference = simulate(config, traces)
-        path = tmp_path / "bad.ckpt"
-        path.write_text("{ not a checkpoint")
-        report = run_resumable(
-            config,
-            traces,
-            path=path,
-            every_slots=16,
-            durability=Durability.BEST_EFFORT,
-            site="auto-checkpoint",
-        )
-        assert report.latencies() == reference.latencies()
-        assert _counter("io.degraded.auto-checkpoint") == 1
 
 
 # ----------------------------------------------------------------------

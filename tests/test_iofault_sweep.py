@@ -2,7 +2,7 @@
 
 The acceptance bar for the I/O fault layer: inject a fault at the k-th
 seam operation for *every* k of a campaign that exercises every
-persistence store (result cache, auto-checkpoints, report export,
+persistence store (result cache, simulation checkpoint, report export,
 metrics export, manifest), and prove that
 
 * no torn artifact and no stale ``.tmp`` sibling ever survives,
@@ -29,10 +29,6 @@ from repro.common.errors import ObservabilityError, PersistenceError
 from repro.common.fileio import persist_text
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
-from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
-    install_auto_checkpoints,
-)
 from repro.robustness.iofault import (
     IoFaultKind,
     IoFaultPlan,
@@ -65,15 +61,20 @@ def _workload():
 def run_campaign(root: Path, config, traces):
     """A tiny end-to-end campaign touching every persistence store.
 
-    Two simulations (a cold computed run and a disk cache hit) under the
-    result cache and auto-checkpoint policies, then the three essential
-    artifacts a real campaign ends with: the report JSON, the metrics
-    export and a manifest.  Returns the first report's latencies.
+    Two simulations under the result cache — a cold run computed with an
+    explicit checkpoint file, then a disk cache hit — followed by the
+    three essential artifacts a real campaign ends with: the report
+    JSON, the metrics export and a manifest.  Returns the first report's
+    latencies.
     """
     cache = install_result_cache(root / "cache")
-    install_auto_checkpoints(root / "ckpts", every_slots=32)
     try:
-        first = simulate(config, traces)
+        first = simulate(
+            config,
+            traces,
+            checkpoint_path=root / "sim.ckpt",
+            checkpoint_every_slots=32,
+        )
         cache._memo.clear()  # the second call must hit the disk entry
         again = simulate(config, traces)
         assert again.latencies() == first.latencies()
@@ -95,7 +96,6 @@ def run_campaign(root: Path, config, traces):
         )
     finally:
         clear_result_cache()
-        clear_auto_checkpoints()
     return first.latencies()
 
 
@@ -163,7 +163,7 @@ def test_campaign_exercises_every_store_and_is_bounded(reference):
     sites = {op.site for op in reference["operations"]}
     assert {
         "result-cache",
-        "auto-checkpoint",
+        "checkpoint",
         "report-export",
         "metrics-export",
         "manifest",
@@ -229,6 +229,7 @@ def test_short_write_at_every_write_op_leaves_no_torn_artifact(
         ("report-export", PersistenceError),
         ("manifest", PersistenceError),
         ("metrics-export", ObservabilityError),
+        ("checkpoint", PersistenceError),
     ],
 )
 def test_persistent_essential_fault_fails_loudly(
@@ -246,11 +247,12 @@ def test_persistent_essential_fault_fails_loudly(
         "report-export": "report.json",
         "manifest": "manifest.json",
         "metrics-export": "metrics.jsonl",
+        "checkpoint": "sim.ckpt",
     }[site]
     assert not (tmp_path / faulted).exists(), context
 
 
-@pytest.mark.parametrize("site", ["result-cache", "auto-checkpoint"])
+@pytest.mark.parametrize("site", ["result-cache"])
 def test_persistent_best_effort_fault_degrades_and_completes(
     tmp_path, reference, site
 ):

@@ -3,12 +3,10 @@
 The pool must tell a *hung* worker (no heartbeats — deadlock, livelock,
 stuck syscall) from a merely *slow* one (heartbeating, just busy), tear
 the former down promptly, restart it within budget, and quarantine it
-with a typed error when the budget runs out.  A restarted simulation
-task resumes from its last checkpoint when the auto-checkpoint policy
-is installed — that composition is exercised at the end.
+with a typed error when the budget runs out.  A restarted task simply
+reruns from the start.
 """
 
-import random
 import time
 
 import pytest
@@ -20,16 +18,9 @@ from repro.common.errors import (
     TaskTimeoutError,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
-    default_checkpoint_path,
-    install_auto_checkpoints,
-)
 from repro.robustness.runner import CampaignRunner
 from repro.sim import parallel
 from repro.sim.parallel import TaskPool, parallel_available
-from repro.sim.simulator import Simulator, simulate
-from sim_helpers import small_config, write_trace_of
 
 pytestmark = pytest.mark.skipif(
     not parallel_available(), reason="fork start method unavailable"
@@ -200,7 +191,7 @@ def test_rss_guard_leaves_small_workers_alone():
 
 
 # ----------------------------------------------------------------------
-# Campaign integration: quarantine signatures and checkpoint restarts
+# Campaign integration: quarantine signatures and restarts
 # ----------------------------------------------------------------------
 def test_campaign_quarantines_hung_task_with_typed_signature(tmp_path):
     manifest_path = tmp_path / "manifest.json"
@@ -221,63 +212,6 @@ def test_campaign_quarantines_hung_task_with_typed_signature(tmp_path):
     entry = RunManifest.load(manifest_path).entry("stuck")
     assert entry["status"] == "quarantined"
     assert entry["error_type"] == "TaskHungError"
-
-
-def _checkpointed_then_hang(config, traces, flag, ckpt_path):
-    def task():
-        if not flag.exists():
-            # First attempt: make real progress, checkpoint it, then
-            # deadlock.  The checkpoint is all the parent can rely on.
-            flag.write_text("hung after checkpointing\n")
-            sim = Simulator(config, traces)
-            sim.engine.run(stop_at_slot=23)
-            sim.checkpoint(ckpt_path)
-            parallel._HEARTBEATS_DISABLED = True
-            time.sleep(60)
-        # Restarted attempt: the inherited auto-checkpoint policy makes
-        # simulate() resume from the file the first attempt left behind.
-        resumed_from_checkpoint = ckpt_path.exists()
-        report = simulate(config, traces)
-        return resumed_from_checkpoint, report.latencies()
-
-    return task
-
-
-def test_restarted_task_resumes_from_last_checkpoint(tmp_path):
-    rng = random.Random(21)
-    config = small_config()
-    traces = {
-        0: write_trace_of([rng.randrange(32) for _ in range(300)]),
-        1: write_trace_of([rng.randrange(32) for _ in range(300)]),
-    }
-    reference = simulate(config, traces)
-
-    ckpt_dir = tmp_path / "ckpts"
-    ckpt_dir.mkdir()
-    ckpt_path = default_checkpoint_path(ckpt_dir, config, traces)
-    flag = tmp_path / "first-attempt"
-
-    install_auto_checkpoints(ckpt_dir, every_slots=16)
-    try:
-        pool = TaskPool(jobs=1, hung_after=0.6, max_restarts=1)
-        results = pool.run(
-            [
-                (
-                    "sim",
-                    _checkpointed_then_hang(config, traces, flag, ckpt_path),
-                )
-            ]
-        )
-    finally:
-        clear_auto_checkpoints()
-
-    assert results[0].ok
-    assert results[0].restarts == 1
-    resumed_from_checkpoint, latencies = results[0].value
-    assert resumed_from_checkpoint, "restart should find the checkpoint"
-    assert latencies == reference.latencies()
-    # Clean completion removes the checkpoint file.
-    assert not ckpt_path.exists()
 
 
 def test_campaign_merges_restarted_results_correctly(tmp_path):

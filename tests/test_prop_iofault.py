@@ -5,7 +5,9 @@ windows and site filters, under either engine — a campaign either
 completes with byte-identical results or dies with a typed, actionable
 error; in both cases every artifact on disk is absent or byte-complete
 (identical to a clean run's copy and passing its integrity checks), and
-no stale ``.tmp`` sibling survives.
+no stale ``.tmp`` sibling survives.  The one file a clean run never
+leaves behind, the checkpoint of a run that died, must resume to the
+clean results.
 """
 
 import dataclasses
@@ -23,10 +25,7 @@ from repro.common.errors import ObservabilityError, PersistenceError
 from repro.common.fileio import persist_text
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
-from repro.robustness.checkpoint import (
-    clear_auto_checkpoints,
-    install_auto_checkpoints,
-)
+from repro.robustness.checkpoint import run_resumable
 from repro.robustness.iofault import IoFaultKind, IoFaultPlan, IoFaultSpec, io_faults
 from repro.sim.cache import (
     SimResultCache,
@@ -47,9 +46,13 @@ def _workload():
 
 def _campaign(root, config, traces):
     cache = install_result_cache(root / "cache")
-    install_auto_checkpoints(root / "ckpts", every_slots=32)
     try:
-        report = simulate(config, traces)
+        report = simulate(
+            config,
+            traces,
+            checkpoint_path=root / "sim.ckpt",
+            checkpoint_every_slots=32,
+        )
         cache._memo.clear()
         again = simulate(config, traces)
         assert again.latencies() == report.latencies()
@@ -65,7 +68,6 @@ def _campaign(root, config, traces):
         )
     finally:
         clear_result_cache()
-        clear_auto_checkpoints()
     return report.latencies()
 
 
@@ -104,7 +106,7 @@ _SPECS = st.builds(
         [
             None,
             "result-cache",
-            "auto-checkpoint",
+            "checkpoint",
             "report-export",
             "metrics-export",
             "manifest",
@@ -141,6 +143,17 @@ def test_prop_any_fault_schedule_leaves_only_clean_artifacts(
     # Degraded-but-completed runs produced the clean run's results.
     if completed is not None:
         assert completed == reference["latencies"]
+
+    # A run that failed loudly keeps its last good checkpoint, the file
+    # a rerun resumes from: it must pass its integrity check and resume
+    # to the clean results (which consumes it).
+    checkpoint = root / "sim.ckpt"
+    if checkpoint.exists():
+        assert completed is None, "a completed run deletes its checkpoint"
+        resumed = run_resumable(
+            reference["config"], traces, path=checkpoint, every_slots=32
+        )
+        assert resumed.latencies() == reference["latencies"]
 
     # No torn artifact, no stale .tmp, nothing the clean run lacks.
     assert not list(root.rglob("*.tmp"))

@@ -226,18 +226,24 @@ def test_verify_sweep_finds_the_same_defects_a_lookup_would(tmp_path):
 
 
 def test_corruption_never_counts_as_version_mismatch(tmp_path):
-    """The two defect classes are counted apart (distinct remedies)."""
+    """The two defect classes are counted apart (distinct remedies).
+
+    The defect decides the counter, not the words of its message, which
+    quote the entry path: a cache directory whose name says "version"
+    must still count corruption.
+    """
     config = small_config(num_cores=2)
     traces = _traces()
-    cache, _, path = _populated_cache(tmp_path, config, traces)
-    key = result_cache_key(config, traces)
-    assert path == cache.entry_path(key)
+    for directory in (tmp_path, tmp_path / "version2-cache"):
+        cache, _, path = _populated_cache(directory, config, traces)
+        key = result_cache_key(config, traces)
+        assert path == cache.entry_path(key)
 
-    path.write_bytes(b"\xff\xfe not an entry")
-    cache._memo.clear()
-    cache.lookup(config, traces)
-    assert _counter(cache, "corruption") == 1
-    assert _counter(cache, "version_mismatch") == 0
+        path.write_bytes(b"\xff\xfe not an entry")
+        cache._memo.clear()
+        cache.lookup(config, traces)
+        assert _counter(cache, "corruption") == 1, directory
+        assert _counter(cache, "version_mismatch") == 0, directory
 
 
 def test_event_fingerprint_matches_helper(tmp_path):
