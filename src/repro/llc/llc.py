@@ -23,7 +23,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.cache.replacement import OraclePolicy, ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
-from repro.common.errors import GeometryError, SimulationError
+from repro.common.errors import GeometryError, PartitionError, SimulationError
 from repro.common.types import BlockAddress, CoreId, EntryState
 from repro.common.validation import require_positive
 from repro.llc.directory import OwnerDirectory
@@ -42,10 +42,9 @@ class LlcEntry:
     #: When ``PENDING_EVICT``: dirty private owners whose write-back the
     #: entry still waits for.
     pending_writers: Set[CoreId] = field(default_factory=set)
-
-    @property
-    def is_free(self) -> bool:
-        return self.state is EntryState.FREE
+    #: The (partition × set) region holding this way; ``None`` for ways
+    #: outside every partition.
+    region: Optional["_Region"] = field(default=None, repr=False, compare=False)
 
     @property
     def is_valid(self) -> bool:
@@ -54,6 +53,28 @@ class LlcEntry:
     @property
     def is_pending(self) -> bool:
         return self.state is EntryState.PENDING_EVICT
+
+
+class _Region:
+    """One (partition × set) region: its entries in way order, and how
+    many of them are ``FREE`` and ``PENDING_EVICT``.
+
+    The counts are derived state, kept exact by
+    :meth:`PartitionedLlc._set_state` and checked against :meth:`scan`
+    by :meth:`PartitionedLlc.validate`.
+    """
+
+    __slots__ = ("set_index", "entries", "free", "pending")
+
+    def __init__(self, set_index: int, entries: List[LlcEntry]) -> None:
+        self.set_index = set_index
+        self.entries = entries
+        self.free, self.pending = self.scan()
+
+    def scan(self) -> Tuple[int, int]:
+        """``(free, pending)`` counted from the entries themselves."""
+        states = [entry.state for entry in self.entries]
+        return states.count(EntryState.FREE), states.count(EntryState.PENDING_EVICT)
 
 
 @dataclass(frozen=True)
@@ -149,17 +170,23 @@ class PartitionedLlc:
         # block -> entry, for VALID and PENDING_EVICT entries respectively
         self._valid_index: Dict[BlockAddress, LlcEntry] = {}
         self._pending_index: Dict[BlockAddress, LlcEntry] = {}
-        # Partitions are immutable, so each (partition, set) region's
-        # entry list and each partition's way membership are precomputed
-        # — these sit on the engine's hottest path.
-        self._region_cache: Dict[Tuple[str, int], List[LlcEntry]] = {}
-        self._way_sets: Dict[str, frozenset] = {}
+        # Partitions are immutable, so each core's regions are
+        # precomputed in fold order: ``block % s`` indexes the tuple.
+        # Region resolution sits on the engine's hottest path.
+        self._regions: List[_Region] = []
+        self._core_regions: Dict[CoreId, Tuple[_Region, ...]] = {}
         for spec in partition_map.partitions:
-            self._way_sets[spec.name] = frozenset(spec.ways())
+            regions = []
             for set_index in spec.sets:
-                self._region_cache[(spec.name, set_index)] = [
-                    self._entries[set_index][way] for way in spec.ways()
-                ]
+                region = _Region(
+                    set_index, [self._entries[set_index][way] for way in spec.ways()]
+                )
+                for entry in region.entries:
+                    entry.region = region
+                regions.append(region)
+            self._regions.extend(regions)
+            for core in spec.cores:
+                self._core_regions[core] = tuple(regions)
 
     # ------------------------------------------------------------------
     # Geometry helpers
@@ -170,16 +197,17 @@ class PartitionedLlc:
 
     def fold(self, core: CoreId, block: BlockAddress) -> int:
         """Physical set ``block`` maps to for ``core``'s partition."""
-        return self.partition_of(core).fold_set(block)
+        return self._region(core, block).set_index
 
     def entry(self, set_index: int, way: int) -> LlcEntry:
         """Direct access to one entry (tests and invariants)."""
         return self._entries[set_index][way]
 
-    def _partition_entries(
-        self, partition: PartitionSpec, set_index: int
-    ) -> List[LlcEntry]:
-        return self._region_cache[(partition.name, set_index)]
+    def _region(self, core: CoreId, block: BlockAddress) -> _Region:
+        regions = self._core_regions.get(core)
+        if regions is None:
+            raise PartitionError(f"core {core} has no LLC partition")
+        return regions[block % len(regions)]
 
     def oracle_policy(self, set_index: int) -> OraclePolicy:
         """The oracle policy of a set (adversarial steering hook)."""
@@ -213,38 +241,29 @@ class PartitionedLlc:
         return self._probe(core, block)
 
     def _probe(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
         entry = self._valid_index.get(block)
-        if entry is None or entry.set_index != set_index:
-            return None
-        if entry.way not in self._way_sets[partition.name]:
+        if entry is None or entry.region is not self._region(core, block):
             return None
         return entry
 
     def free_entry(self, core: CoreId, block: BlockAddress) -> Optional[LlcEntry]:
-        """A ``FREE`` entry usable for ``block`` in ``core``'s partition."""
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        for entry in self._partition_entries(partition, set_index):
-            if entry.is_free:
-                return entry
+        """The lowest-way ``FREE`` entry usable for ``block`` in
+        ``core``'s partition."""
+        region = self._region(core, block)
+        if region.free:
+            for entry in region.entries:
+                if entry.state is EntryState.FREE:
+                    return entry
         return None
 
     def has_pending_evict(self, core: CoreId, block: BlockAddress) -> bool:
-        """Whether an eviction is already in flight in the target set.
+        """Whether an eviction is already in flight in ``block``'s
+        (partition × set) region.
 
-        The engine triggers at most one eviction at a time per
-        (partition × set) region: while one is pending, a free entry is
-        already on its way, so further evictions would only destroy
-        additional cache state without helping any requester.
+        Several may be: the engine keeps one eviction in flight per
+        waiting requester (see ``region_availability``).
         """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        return any(
-            entry.is_pending
-            for entry in self._partition_entries(partition, set_index)
-        )
+        return self._region(core, block).pending > 0
 
     def region_availability(
         self, core: CoreId, block: BlockAddress
@@ -254,16 +273,8 @@ class PartitionedLlc:
         The engine compares their sum against the number of waiting
         requesters to decide whether another eviction is warranted.
         """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        free = 0
-        pending = 0
-        for entry in self._partition_entries(partition, set_index):
-            if entry.is_free:
-                free += 1
-            elif entry.is_pending:
-                pending += 1
-        return free, pending
+        region = self._region(core, block)
+        return region.free, region.pending
 
     def pending_entry(self, block: BlockAddress) -> Optional[LlcEntry]:
         """The ``PENDING_EVICT`` entry holding ``block``, if any."""
@@ -285,18 +296,6 @@ class PartitionedLlc:
         free the entry.
         """
         return block in self._pending_index
-
-    def valid_entries_in_region(
-        self, core: CoreId, block: BlockAddress
-    ) -> List[LlcEntry]:
-        """``VALID`` entries of the (partition × set) region of ``block``."""
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
-        return [
-            entry
-            for entry in self._partition_entries(partition, set_index)
-            if entry.is_valid
-        ]
 
     # ------------------------------------------------------------------
     # Allocation
@@ -322,7 +321,7 @@ class PartitionedLlc:
                 f"allocate for core {core} block {block:#x}: no free entry "
                 f"in partition {self.partition_of(core).name!r}"
             )
-        entry.state = EntryState.VALID
+        self._set_state(entry, EntryState.VALID)
         entry.block = block
         entry.dirty = False
         entry.pending_writers.clear()
@@ -363,12 +362,12 @@ class PartitionedLlc:
         when the region has no valid entry to evict (everything is
         already free or pending).
         """
-        partition = self.partition_of(core)
-        set_index = partition.fold_set(block)
+        region = self._region(core, block)
+        set_index = region.set_index
         candidates = [
             entry.way
-            for entry in self._partition_entries(partition, set_index)
-            if entry.is_valid
+            for entry in region.entries
+            if entry.state is EntryState.VALID
         ]
         if not candidates:
             return None
@@ -413,7 +412,7 @@ class PartitionedLlc:
         self.directory.drop_block(victim.block)
         self._policies[victim.set_index].on_invalidate(victim.way)
         if writers:
-            entry.state = EntryState.PENDING_EVICT
+            self._set_state(entry, EntryState.PENDING_EVICT)
             entry.pending_writers = writers
             self._pending_index[victim.block] = entry
             self.extra.back_invalidations += len(writers)
@@ -459,11 +458,29 @@ class PartitionedLlc:
         return WritebackOutcome.DRAM_DIRECT
 
     def _free_entry(self, entry: LlcEntry) -> None:
-        entry.state = EntryState.FREE
+        self._set_state(entry, EntryState.FREE)
         entry.block = None
         entry.dirty = False
         entry.pending_writers.clear()
         self.extra.entries_freed += 1
+
+    def _set_state(self, entry: LlcEntry, state: EntryState) -> None:
+        """The one writer of ``entry.state``: keeps its region's counts."""
+        region = entry.region
+        if entry.state is EntryState.FREE:
+            region.free -= 1
+        elif entry.state is EntryState.PENDING_EVICT:
+            region.pending -= 1
+        if state is EntryState.FREE:
+            region.free += 1
+        elif state is EntryState.PENDING_EVICT:
+            region.pending += 1
+        entry.state = state
+
+    def _rebuild_region_counts(self) -> None:
+        """Re-derive every region's counts (after an in-place restore)."""
+        for region in self._regions:
+            region.free, region.pending = region.scan()
 
     # ------------------------------------------------------------------
     # Introspection and invariants
@@ -484,8 +501,9 @@ class PartitionedLlc:
         """Check internal invariants; raises :class:`SimulationError`.
 
         Verified properties: index consistency, exclusive state per
-        entry, and that ``PENDING_EVICT`` entries await at least one
-        writer.
+        entry, that ``PENDING_EVICT`` entries await at least one
+        writer, and that every region's ``free``/``pending`` counts
+        match a scan of its entries.
 
         ``sets`` restricts the entry scan to the given set rows (the
         per-slot checked-mode monitor passes the partition-covered sets
@@ -496,9 +514,12 @@ class PartitionedLlc:
         lives in ``sets``.
         """
         if sets is not None:
-            for set_index in sets:
+            rows = list(sets)
+            for set_index in rows:
                 for entry in self._entries[set_index]:
                     self._validate_entry(entry)
+            covered = set(rows)
+            self._validate_counts(r for r in self._regions if r.set_index in covered)
             for block, entry in self._valid_index.items():
                 if not entry.is_valid or entry.block != block:
                     raise SimulationError(
@@ -542,6 +563,16 @@ class PartitionedLlc:
             raise SimulationError("valid index size mismatch")
         if pending_seen != len(self._pending_index):
             raise SimulationError("pending index size mismatch")
+        self._validate_counts(self._regions)
+
+    def _validate_counts(self, regions: Iterable[_Region]) -> None:
+        for region in regions:
+            if (region.free, region.pending) != region.scan():
+                raise SimulationError(
+                    f"region counts out of sync at set {region.set_index}: "
+                    f"(free, pending) = {(region.free, region.pending)}, "
+                    f"scan finds {region.scan()}"
+                )
 
     def _validate_entry(self, entry: LlcEntry) -> None:
         if entry.is_valid:

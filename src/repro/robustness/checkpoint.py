@@ -27,10 +27,11 @@ Design notes
   inventory below *is* the checkpoint schema, and
   ``CHECKPOINT_VERSION`` must be bumped whenever any component gains or
   loses mutable state.
-* **Restore mutates in place.**  The LLC's hot-path ``_region_cache``
-  holds references to the very :class:`~repro.llc.llc.LlcEntry`
-  objects in ``_entries``; load therefore mutates the existing entry
-  objects (and rebuilds the block indexes) rather than replacing them.
+* **Restore mutates in place.**  The LLC's hot-path regions hold
+  references to the very :class:`~repro.llc.llc.LlcEntry` objects in
+  ``_entries``; load therefore mutates the existing entry objects and
+  rebuilds the block indexes and the regions' derived ``free``/
+  ``pending`` counts, rather than replacing the entries.
   The same reasoning applies to the System-level RNG: every stochastic
   policy aliases ``system.rng``, so one ``setstate`` restores them all.
 * **Crash consistency.**  The file is written with
@@ -467,6 +468,7 @@ def _load_llc(llc: PartitionedLlc, state: Mapping[str, Any]) -> None:
                 llc._valid_index[entry.block] = entry
             elif entry.is_pending:
                 llc._pending_index[entry.block] = entry
+    llc._rebuild_region_counts()
     if len(state["policies"]) != len(llc._policies):
         raise CheckpointError(
             "LLC policy count of the checkpoint does not match the built cache"

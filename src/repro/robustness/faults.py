@@ -240,7 +240,7 @@ class FaultInjector:
         # forgets the line while cores still cache it.
         del llc._valid_index[block]
         llc.directory.drop_block(block)
-        entry.state = type(entry.state).FREE
+        llc._set_state(entry, type(entry.state).FREE)
         entry.block = None
         entry.dirty = False
         entry.pending_writers.clear()
@@ -257,8 +257,9 @@ class FaultInjector:
         assert block is not None
         # Flip only the state word: block, dirty bit and the valid index
         # keep pointing at the entry — exactly what a corrupted state
-        # encoding looks like.
-        entry.state = type(entry.state).FREE
+        # encoding looks like.  The write goes through the LLC's state
+        # helper so the region counts stay derived from the state word.
+        engine.system.llc._set_state(entry, type(entry.state).FREE)
         return (
             f"entry at set {entry.set_index} way {entry.way} state "
             f"corrupted to FREE while holding block {block:#x}"

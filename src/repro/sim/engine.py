@@ -196,6 +196,12 @@ class SlotEngine:
         # may still be attached later (or by a hook), so those stay in
         # the per-iteration gate.
         fast = self._fast_ok and self._sampler is None
+        owners = self.schedule.slot_owners
+        period = len(owners)
+        width = self.schedule.slot_width
+        cores = tuple(self.system.cores.items())
+        prbs = self.system.prbs
+        pwbs = self.system.pwbs
         while not self._finished():
             if self._slot >= self.config.max_slots:
                 timed_out = True
@@ -210,8 +216,18 @@ class SlotEngine:
             ):
                 if self._ff_skip:
                     self._ff_skip -= 1
-                elif self._try_fast_forward():
-                    continue
+                else:
+                    # O(1) prefilter: a slot whose owner already has
+                    # eligible PRB/PWB work cannot be skipped.
+                    slot_start = self._slot * width
+                    owner = owners[self._slot % period]
+                    request = prbs[owner].entry
+                    if (
+                        (request is None or request.enqueued_at > slot_start)
+                        and pwbs[owner].peek(slot_start) is None
+                        and self._try_fast_forward()
+                    ):
+                        continue
             if self._pre_slot_hooks:
                 # A pre-slot hook may mutate the slot counter (the
                 # dropped-slot fault does); re-check the cap afterwards.
@@ -220,14 +236,21 @@ class SlotEngine:
                 if self._slot >= self.config.max_slots:
                     timed_out = True
                     break
-            slot_start = self.schedule.slot_start(self._slot)
+            slot_start = self._slot * width
             # Advance through slot_start inclusive: a miss occurring
             # exactly at the boundary is in the PRB "at the beginning of
-            # the core's slot" (Section 3) and may use this slot.
-            for core_id in self.system.cores:
+            # the core's slot" (Section 3) and may use this slot.  For a
+            # BLOCKED core, or a DONE one whose CORE_DONE was emitted,
+            # _advance_core is a no-op.  The live state is read, so a
+            # state that a fault hook rewrites is still honoured.
+            for core_id, core in cores:
+                state = core.state
+                if state is CoreState.BLOCKED or (
+                    state is CoreState.DONE and core_id in self._finished_cores
+                ):
+                    continue
                 self._advance_core(core_id, slot_start + 1)
-            owner = self.schedule.owner_of_slot(self._slot)
-            self._do_slot(owner, slot_start)
+            self._do_slot(owners[self._slot % period], slot_start)
             if self._post_slot_hooks:
                 for hook in self._post_slot_hooks:
                     hook(self, self._slot, slot_start)
@@ -320,20 +343,12 @@ class SlotEngine:
         report is bit-identical to ticking them one by one.
 
         Only called when nothing observes individual slots (no events,
-        samplers or hooks — see run()); returns False whenever the
-        *current* slot is actionable, leaving it to the reference step.
+        samplers or hooks) and the current slot's owner has no eligible
+        PRB/PWB work — advance() checks both first.
         """
         system = self.system
         schedule = self.schedule
         start_slot = self._slot
-        slot_start = schedule.slot_start(start_slot)
-        # O(1) prefilter: the current owner already has eligible work.
-        owner = schedule.owner_of_slot(start_slot)
-        owner_request = system.prbs[owner].entry
-        if owner_request is not None and owner_request.enqueued_at <= slot_start:
-            return False
-        if system.pwbs[owner].peek(slot_start) is not None:
-            return False
 
         # Cheap phase: candidates visible without prediction — parked
         # PRB requests and queued write-backs.
