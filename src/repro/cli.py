@@ -687,6 +687,12 @@ def build_parser() -> argparse.ArgumentParser:
         except (ValueError, ConfigurationError) as exc:
             raise argparse.ArgumentTypeError(str(exc))
 
+    def positive_int(text: str) -> int:
+        value = int(text)
+        if value <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+        return value
+
     def add_jobs_arg(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--jobs",
@@ -786,7 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     fig7 = sub.add_parser("fig7", help="reproduce Figure 7 (WCL)")
-    fig7.add_argument("--requests", type=int, default=400)
+    fig7.add_argument("--requests", type=positive_int, default=400)
     fig7.add_argument("--seed", type=int, default=2022)
     add_jobs_arg(fig7)
     add_metrics_arg(fig7)
@@ -809,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig8 = sub.add_parser("fig8", help="reproduce a Figure 8 sub-figure")
     fig8.add_argument("subfigure", choices=sorted(SUBFIGURES))
-    fig8.add_argument("--requests", type=int, default=2000)
+    fig8.add_argument("--requests", type=positive_int, default=2000)
     fig8.add_argument("--seed", type=int, default=2022)
     add_jobs_arg(fig8)
     add_metrics_arg(fig8)
@@ -842,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--cores", type=int, default=4)
         sub_parser.add_argument(
             "--requests",
-            type=int,
+            type=positive_int,
             default=requests_default,
             help=f"LLC requests per core (default: {requests_default})",
         )
@@ -951,7 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
         "all", help="regenerate every artifact into a results directory"
     )
     all_cmd.add_argument("--out", default="results")
-    all_cmd.add_argument("--requests", type=int, default=300)
+    all_cmd.add_argument("--requests", type=positive_int, default=300)
     all_cmd.add_argument(
         "--resume",
         action=argparse.BooleanOptionalAction,
@@ -1103,11 +1109,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     are inside the fault window too — and maps a
     :class:`~repro.common.errors.PersistenceError` (an ESSENTIAL
     artifact that could not be written after bounded retries) to a
-    clean one-line error and exit code 1.
+    clean one-line error and exit code 1.  A
+    :class:`~repro.common.errors.ConfigurationError` (bad user
+    configuration) or :class:`~repro.common.errors.ObservabilityError`
+    becomes a one-line error and exit code 2, argparse's usage-error
+    code.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    from repro.common.errors import ObservabilityError, PersistenceError
+    from repro.common.errors import (
+        ConfigurationError,
+        ObservabilityError,
+        PersistenceError,
+    )
     from repro.common.fileio import reset_io_state
 
     reset_io_state()
@@ -1117,9 +1131,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ObservabilityError as exc:
-        # e.g. a trace sink that failed mid-run: requested output,
-        # loud failure with the offending path, usage-error exit code.
+    except (ConfigurationError, ObservabilityError) as exc:
+        # A bad user configuration (malformed notation, invalid
+        # parameter) or e.g. a trace sink that failed mid-run: one
+        # line naming the problem, usage-error exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

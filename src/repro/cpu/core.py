@@ -170,12 +170,18 @@ class TraceDrivenCore:
     def predict_next_bus_event(self) -> CorePrediction:
         """Predict the core's next bus-visible event without side effects.
 
-        Replays the remaining trace against a *clone* of the private
-        stack through the real :meth:`advance` code path (so hit/miss
-        decisions, compute-gap handling and latency accounting cannot
-        diverge from the live replay), then restores the core's state.
         Returns the cycle of the next L2 miss, or the finish time when
         the rest of the trace completes on private hits alone.
+
+        Shortcut: when the next record's block is absent from the L2,
+        that access is the miss — the stack is inclusive (L1 ⊆ L2), so
+        missing the L2 means missing every private level — and it
+        happens after the record's compute gap, if that is still
+        pending.  No clone is made.  Otherwise the remaining trace is
+        replayed against a *clone* of the private stack through the
+        real :meth:`advance` code path (so hit/miss decisions,
+        compute-gap handling and latency accounting cannot diverge from
+        the live replay), and the core's state is restored afterwards.
 
         The result is cached against ``stack.version``: between two
         external stack mutations (an LLC fill or a back-invalidation —
@@ -200,6 +206,15 @@ class TraceDrivenCore:
             and self._prediction_version == self.stack.version
         ):
             return self._prediction
+        if self.position < len(self.trace):
+            record = self.trace[self.position]
+            if not self.stack.l2.contains(self.geometry.block_of(record.address)):
+                miss_at = self.time
+                if not self._gap_applied:
+                    miss_at += record.compute_cycles
+                self._prediction = CorePrediction(miss_at=miss_at)
+                self._prediction_version = self.stack.version
+                return self._prediction
         saved = (
             self.time,
             self.position,

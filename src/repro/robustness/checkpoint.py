@@ -88,7 +88,7 @@ from repro.cpu.core import CoreState, TraceDrivenCore
 from repro.cpu.private_stack import PrivateStack
 from repro.llc.llc import PartitionedLlc
 from repro.sequencer.set_sequencer import SetSequencer
-from repro.sim.events import EventKind, SimEvent
+from repro.sim.cache import _canonical, _event_state, _load_event
 from repro.workloads.trace import MemoryTrace
 
 #: Bumped on any change to the payload layout below.
@@ -104,10 +104,6 @@ CHECKPOINT_KIND = "repro-sim-checkpoint"
 #: ``benchmarks/test_bench_checkpoint_overhead.py``) while a kill loses
 #: at most this many slots of progress — well under a second of rework.
 DEFAULT_POLL_SLOTS = 16384
-
-
-def _canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 # ----------------------------------------------------------------------
@@ -133,6 +129,11 @@ def trace_fingerprint(trace: MemoryTrace) -> str:
     object: periodic checkpointing fingerprints the same workload once
     per *save*, and recomputing a long trace's hash every interval was
     the dominant snapshot cost.
+
+    Deliberately not :func:`repro.sim.cache.trace_cache_fingerprint`:
+    a checkpoint must refuse a renamed trace, while the result cache
+    keys length-framed records without the name, and switching would
+    change every checkpoint payload.
     """
     cached = getattr(trace, "_checkpoint_fingerprint", None)
     if cached is not None:
@@ -532,33 +533,6 @@ def _load_sequencer(sequencer: SetSequencer, state: Mapping[str, Any]) -> None:
         for set_index, queue_id in state["qlt"]["mapping"]
     }
     qlt._free_queues = [by_id[queue_id] for queue_id in state["qlt"]["free"]]
-
-
-def _event_state(event: SimEvent) -> List[Any]:
-    return [
-        event.cycle,
-        event.slot,
-        event.kind.value,
-        event.core,
-        event.block,
-        event.set_index,
-        event.way,
-        event.detail,
-    ]
-
-
-def _load_event(state: List[Any]) -> SimEvent:
-    cycle, slot, kind, core, block, set_index, way, detail = state
-    return SimEvent(
-        cycle=cycle,
-        slot=slot,
-        kind=EventKind(kind),
-        core=core,
-        block=block,
-        set_index=set_index,
-        way=way,
-        detail=detail,
-    )
 
 
 def _rng_state(rng) -> Dict[str, Any]:

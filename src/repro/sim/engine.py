@@ -200,6 +200,7 @@ class SlotEngine:
         period = len(owners)
         width = self.schedule.slot_width
         cores = tuple(self.system.cores.items())
+        running, blocked = CoreState.RUNNING, CoreState.BLOCKED
         prbs = self.system.prbs
         pwbs = self.system.pwbs
         while not self._finished():
@@ -240,16 +241,20 @@ class SlotEngine:
             # Advance through slot_start inclusive: a miss occurring
             # exactly at the boundary is in the PRB "at the beginning of
             # the core's slot" (Section 3) and may use this slot.  For a
-            # BLOCKED core, or a DONE one whose CORE_DONE was emitted,
-            # _advance_core is a no-op.  The live state is read, so a
-            # state that a fault hook rewrites is still honoured.
+            # BLOCKED core, a RUNNING one already at or past the
+            # horizon, or a DONE one whose CORE_DONE was emitted,
+            # _advance_core is a no-op.  The live state and time are
+            # read, so a state that a fault hook rewrites is still
+            # honoured.
+            until = slot_start + 1
             for core_id, core in cores:
                 state = core.state
-                if state is CoreState.BLOCKED or (
-                    state is CoreState.DONE and core_id in self._finished_cores
-                ):
+                if state is running:
+                    if core.time >= until:
+                        continue
+                elif state is blocked or core_id in self._finished_cores:
                     continue
-                self._advance_core(core_id, slot_start + 1)
+                self._advance_core(core_id, until)
             self._do_slot(owners[self._slot % period], slot_start)
             if self._post_slot_hooks:
                 for hook in self._post_slot_hooks:
@@ -444,9 +449,12 @@ class SlotEngine:
         # loop would have by the top of slot `target` — through slot
         # target-1's boundary, inclusive — and never further: a later
         # transaction may back-invalidate a line an over-advanced core
-        # would have hit on.
+        # would have hit on.  A RUNNING core already at or past that
+        # horizon would not move, so it is skipped.
         advance_until = schedule.slot_start(target - 1) + 1
-        for core_id in system.cores:
+        for core_id, core in system.cores.items():
+            if core.state is CoreState.RUNNING and core.time >= advance_until:
+                continue
             self._advance_core(core_id, advance_until)
         # Slots start_slot..target-1 are all idle; account them per
         # schedule position analytically instead of one by one.

@@ -110,3 +110,43 @@ class TestAllCommand:
         summary = json.loads((out_dir / "summary.json").read_text())
         assert "figure-7" in summary
         assert code in (0, 1)  # shape checks may be noisy at tiny sizes
+
+
+class TestBadInput:
+    """Bad user input ends in one ``error:`` line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "P(1,16,4)", "--requests", "10"],
+            ["simulate", "XX", "--requests", "10"],
+            ["stats", "NSS(1,16)", "--requests", "10"],
+        ],
+    )
+    def test_bad_notation_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "SS(1,16,4)"],
+            ["stats", "SS(1,16,4)"],
+            ["fig7"],
+            ["fig8", "8a"],
+            ["all", "--out", "unused"],
+        ],
+    )
+    @pytest.mark.parametrize("requests", ["0", "-5"])
+    def test_non_positive_requests_rejected_at_parse_time(
+        self, argv, requests, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--requests", requests])
+        assert excinfo.value.code == 2
+        assert "--requests: must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "unused").exists()

@@ -293,7 +293,8 @@ class TestPredictionClones:
             core.stack.version,
         )
         first = core.predict_next_bus_event()
-        assert first.miss_at is not None
+        # A cold stack misses at once, after the first record's gap.
+        assert first.miss_at == 30
         after = (
             core.time,
             core.position,
@@ -305,6 +306,42 @@ class TestPredictionClones:
         assert before == after
         # Cached while the stack version is unchanged.
         assert core.predict_next_bus_event() is first
+
+    def test_prediction_replay_on_a_warm_stack_restores_core_state(self):
+        """A warm stack turns the first records into private hits, so the
+        prediction replays a clone (a cold stack only takes the L2-miss
+        shortcut); the replay must leave no footprint either."""
+        from repro.cpu.core import TraceDrivenCore
+        from repro.robustness.checkpoint import _core_state, _stack_state
+
+        stack = PrivateStack(0)
+        for block in range(6):
+            stack.fill_from_llc(block, AccessType.WRITE)
+        trace = MemoryTrace(
+            [
+                TraceRecord(block * 64, AccessType.WRITE, compute_cycles=30)
+                for block in range(10)
+            ],
+            name="probe",
+        )
+        core = TraceDrivenCore(0, stack, trace, line_size=64)
+        before = (_core_state(core), _stack_state(stack))
+        clones = []
+        original = stack.clone_for_prediction
+
+        def counting():
+            clones.append(1)
+            return original()
+
+        stack.clone_for_prediction = counting
+        first = core.predict_next_bus_event()
+        assert clones == [1]
+        assert (_core_state(core), _stack_state(stack)) == before
+        # Six private hits, each after its 30-cycle gap, then the miss
+        # on block 6 after its own gap.
+        hit_latency = stack.config.l1_hit_latency
+        assert first.miss_at == 7 * 30 + 6 * hit_latency
+        assert core.advance(1 << 62).at_cycle == first.miss_at
 
 
 class TestOracleDifferential:
