@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.bus.schedule import TdmSchedule
+from repro.common.errors import AnalysisError
 from repro.common.types import AccessType, CoreId
 from repro.llc.partition import PartitionSpec
 from repro.sim.config import SystemConfig
@@ -140,6 +141,12 @@ def starvation_witness(
     the victim returns); the 1S-TDM control is ``{c_ua, c_1}``.
     """
     from repro.analysis.wcl import SharedPartitionParams, wcl_nss_cycles
+
+    if len(set(stream_lengths)) < 2:
+        raise AnalysisError(
+            "the starvation witness needs at least two distinct stream "
+            f"lengths to show growth, got {list(stream_lengths)}"
+        )
 
     multi = TdmSchedule((0, 1, 1), slot_width)
     one_slot = TdmSchedule((0, 1), slot_width)

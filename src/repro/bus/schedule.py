@@ -57,6 +57,9 @@ class TdmSchedule:
         # fast-forward path, where rebuilding the position tuple per
         # call would dominate the candidate computation.
         object.__setattr__(self, "_positions", {})
+        # 1S-TDM (Definition 4.1): every core owns exactly one slot.
+        # Fixed with the owners, so distance() need not re-scan them.
+        object.__setattr__(self, "is_one_slot", len(set(owners)) == len(owners))
 
     @classmethod
     def parse(cls, text: str, slot_width: int) -> "TdmSchedule":
@@ -110,11 +113,6 @@ class TdmSchedule:
             )
             self._positions[core] = cached
         return cached
-
-    @property
-    def is_one_slot(self) -> bool:
-        """Whether this is a 1S-TDM schedule (Definition 4.1)."""
-        return all(len(self.slots_of(core)) == 1 for core in self.cores)
 
     def require_one_slot(self) -> None:
         """Raise :class:`ScheduleError` unless this is 1S-TDM."""

@@ -944,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     # set_defaults() after add_workload_args silently diverged).
     add_workload_args(timeline_cmd, requests_default=60)
     timeline_cmd.add_argument("--start-slot", type=int, default=0)
-    timeline_cmd.add_argument("--slots", type=int, default=80)
+    timeline_cmd.add_argument("--slots", type=positive_int, default=80)
     timeline_cmd.set_defaults(func=_cmd_timeline)
 
     tightness_cmd = sub.add_parser(
@@ -1111,13 +1111,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     artifact that could not be written after bounded retries) to a
     clean one-line error and exit code 1.  A
     :class:`~repro.common.errors.ConfigurationError` (bad user
-    configuration) or :class:`~repro.common.errors.ObservabilityError`
-    becomes a one-line error and exit code 2, argparse's usage-error
-    code.
+    configuration), an :class:`~repro.common.errors.AnalysisError` (bad
+    analysis parameters), a :class:`~repro.common.errors.CampaignError`
+    (an unusable manifest in ``--out``) or an
+    :class:`~repro.common.errors.ObservabilityError` becomes a one-line
+    error and exit code 2, argparse's usage-error code.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     from repro.common.errors import (
+        AnalysisError,
+        CampaignError,
         ConfigurationError,
         ObservabilityError,
         PersistenceError,
@@ -1131,10 +1135,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PersistenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigurationError, ObservabilityError) as exc:
-        # A bad user configuration (malformed notation, invalid
-        # parameter) or e.g. a trace sink that failed mid-run: one
-        # line naming the problem, usage-error exit code.
+    except (
+        ConfigurationError,
+        AnalysisError,
+        CampaignError,
+        ObservabilityError,
+    ) as exc:
+        # Bad user input (malformed notation, invalid parameter, a
+        # manifest that cannot be resumed) or e.g. a trace sink that
+        # failed mid-run: one line naming it, usage-error exit code.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

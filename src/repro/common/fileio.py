@@ -8,7 +8,8 @@ truncated hybrid.  The recipe is the classic one (write a sibling temp
 file, ``fsync`` it, atomically ``os.replace`` it over the target, then
 ``fsync`` the directory so the rename itself is durable), and it lives
 here so every persistence layer shares one audited implementation
-instead of several drifting copies.
+instead of several drifting copies.  Append-only journals, whose
+reader drops a torn last record, take the cheaper :func:`append_text`.
 
 Beyond crash consistency this module is the package's single **I/O
 seam**: each primitive operation (open / write / fsync / replace /
@@ -52,7 +53,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from repro.common.errors import PersistenceError
 
@@ -119,11 +120,6 @@ def clear_io_fault_hook() -> None:
     _FAULT_HOOK = None
 
 
-def io_fault_hook() -> Optional[IoFaultHook]:
-    """The currently installed fault hook, or None."""
-    return _FAULT_HOOK
-
-
 # --------------------------------------------------------------------------
 # io.* metrics
 # --------------------------------------------------------------------------
@@ -187,7 +183,7 @@ def check_io(op: str, path: Union[str, Path], site: str) -> Optional[IoFaultActi
     return action
 
 
-def guarded_write(handle, text: str, path: Union[str, Path], site: str) -> None:
+def guarded_write(handle, text, path: Union[str, Path], site: str) -> None:
     """Write ``text`` to ``handle`` through the seam (short-write aware)."""
     action = check_io("write", path, site)
     if action is None:
@@ -357,10 +353,6 @@ def set_essential_retry(policy: EssentialRetryPolicy) -> None:
     _RETRY_POLICY = policy
 
 
-def essential_retry_policy() -> EssentialRetryPolicy:
-    return _RETRY_POLICY
-
-
 class CircuitBreaker:
     """Consecutive-failure breaker guarding one BEST-EFFORT site."""
 
@@ -393,6 +385,30 @@ def circuit_breaker(site: str) -> CircuitBreaker:
     return breaker
 
 
+def _retry_essential(path: Path, site: str, attempt: Callable[[], Any]) -> Any:
+    """Run a write ``attempt`` up to ``max_attempts`` times with backoff
+    (``io.retry.<site>`` per retry), then raise :class:`PersistenceError`
+    naming the path, site and errno."""
+    policy = _RETRY_POLICY
+    last: Optional[OSError] = None
+    for number in range(1, policy.max_attempts + 1):
+        try:
+            return attempt()
+        except OSError as exc:
+            last = exc
+            count_io(f"io.fault.{site}")
+            if number < policy.max_attempts:
+                count_io(f"io.retry.{site}")
+                _sleep(policy.delay(number))
+    errno_part = f" [errno {last.errno}]" if getattr(last, "errno", None) else ""
+    raise PersistenceError(
+        f"cannot persist essential artifact {path} (site '{site}')"
+        f" after {policy.max_attempts} attempt(s): {last}{errno_part};"
+        " free disk space / fix permissions on the target directory"
+        " and re-run — completed work is resumable from the manifest"
+    ) from last
+
+
 def persist_text(
     path: Union[str, Path],
     text: str,
@@ -403,10 +419,9 @@ def persist_text(
 ) -> Optional[Path]:
     """Write ``text`` to ``path`` under the durability policy.
 
-    ESSENTIAL: retries :class:`EssentialRetryPolicy.max_attempts` times
-    with exponential backoff (``io.retry.<site>`` counted per retry),
-    then raises :class:`~repro.common.errors.PersistenceError` with the
-    path, site and underlying errno.  Returns the path on success.
+    ESSENTIAL: retried, then a loud
+    :class:`~repro.common.errors.PersistenceError` (see
+    :func:`_retry_essential`).  Returns the path on success.
 
     BEST_EFFORT: one attempt through the site's circuit breaker.
     Returns the path on success, ``None`` when the write was lost —
@@ -418,26 +433,9 @@ def persist_text(
     """
     path = Path(path)
     if durability is Durability.ESSENTIAL:
-        policy = _RETRY_POLICY
-        last: Optional[OSError] = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                return atomic_write_text(path, text, mkdir=mkdir, site=site)
-            except OSError as exc:
-                last = exc
-                count_io(f"io.fault.{site}")
-                if attempt < policy.max_attempts:
-                    count_io(f"io.retry.{site}")
-                    _sleep(policy.delay(attempt))
-        errno_part = (
-            f" [errno {last.errno}]" if getattr(last, "errno", None) else ""
+        return _retry_essential(
+            path, site, lambda: atomic_write_text(path, text, mkdir=mkdir, site=site)
         )
-        raise PersistenceError(
-            f"cannot persist essential artifact {path} (site '{site}')"
-            f" after {policy.max_attempts} attempt(s): {last}{errno_part};"
-            " free disk space / fix permissions on the target directory"
-            " and re-run — completed work is resumable from the manifest"
-        ) from last
     breaker = circuit_breaker(site)
     if breaker.open:
         count_io(f"io.skipped.{site}")
@@ -457,3 +455,37 @@ def persist_text(
         return None
     breaker.record_success()
     return result
+
+
+def append_text(
+    path: Union[str, Path], text: str, *, length: int, site: str
+) -> int:
+    """Durably write ``text`` at byte ``length`` of ``path``; return the new length.
+
+    ``length == 0`` starts the file afresh and fsyncs its directory once.
+    Each ESSENTIAL attempt opens, writes, fsyncs and closes through the
+    seam; a failed one truncates the file back to ``length`` before the
+    retry, so no torn or doubled record is left behind.
+    """
+    path = Path(path)
+    data = text.encode()
+
+    def attempt() -> int:
+        if not length:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            check_io("open", path, site)
+            with open(path, "r+b" if length else "wb") as handle:
+                handle.seek(length)
+                guarded_write(handle, data, path, site)
+                handle.flush()
+                guarded_fsync(handle, path, site)
+        except BaseException:
+            if path.exists():
+                os.truncate(path, length)
+            raise
+        if not length:
+            fsync_directory(path.parent, site=site)
+        return length + len(data)
+
+    return _retry_essential(path, site, attempt)

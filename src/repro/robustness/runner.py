@@ -13,10 +13,10 @@ module wraps any sequence of named tasks with:
   straight to quarantine);
 * **failure quarantine**: a failed task is recorded as a structured
   manifest entry and the campaign continues;
-* **checkpoint/resume** through a JSON :class:`RunManifest` written
-  atomically after every task, so a killed campaign picks up where it
-  left off (``repro-llc all --resume``) and completed tasks are never
-  re-run.
+* **checkpoint/resume** through a :class:`RunManifest` journal that
+  gains one fsynced JSON line per finished task, so a killed campaign
+  picks up where it left off (``repro-llc all --resume``) and completed
+  tasks are never re-run.
 
 Two ready-made campaigns: :func:`run_all_robust` (the full artifact
 reproduction of :mod:`repro.experiments.runner`) and
@@ -53,9 +53,9 @@ from repro.common.errors import (
 )
 from repro.common.fileio import (
     Durability,
-    cleanup_stale_tmp,
+    append_text,
     persist_text,
-    read_text,
+    read_bytes,
 )
 from repro.common.validation import require
 from repro.sim.config import SystemConfig
@@ -67,7 +67,9 @@ from repro.sim.sweeps import SweepResult, TraceFactory, run_seed
 Task = Tuple[str, Callable[[], Any]]
 
 #: Manifest schema version (bumped on incompatible layout changes).
-MANIFEST_VERSION = 1
+#: Version 1 was one JSON document rewritten after every task; version
+#: 2 is the append-only journal of :class:`RunManifest`.
+MANIFEST_VERSION = 2
 
 
 # ----------------------------------------------------------------------
@@ -109,64 +111,79 @@ class RetryPolicy:
 # ----------------------------------------------------------------------
 # Run manifest (checkpoint/resume)
 # ----------------------------------------------------------------------
-def _encode_entry(name: str, entry: Any) -> str:
-    """One ``"name": {...}`` member of the manifest's ``tasks`` object.
+def _parse_journal(path: Path, data: bytes) -> Tuple[List[Any], int]:
+    """The parsed lines of a manifest journal and the bytes they span.
 
-    The entry is indented as it sits inside the document (two levels
-    deep).  JSON escapes newlines inside strings, so every newline in
-    the encoding is layout and can take the extra indent.
+    A torn last line (no trailing newline, or one that does not parse)
+    is what a kill mid-append leaves; it is left out of both.  Any other
+    line that does not parse raises :class:`CampaignError`, except that
+    a version-1 manifest (one indented JSON document) comes back whole,
+    as the header, for the version gate to refuse.
     """
-    text = json.dumps(entry, indent=2).replace("\n", "\n    ")
-    return f"{json.dumps(name)}: {text}"
+    *lines, tail = data.split(b"\n")
+    records: List[Any] = []
+    length = 0
+    for number, line in enumerate(lines, 1):
+        try:
+            records.append(json.loads(line))
+        except ValueError as exc:
+            if number == len(lines) and not tail:
+                break
+            if number == 1:
+                try:
+                    return [json.loads(data)], len(data)
+                except ValueError:
+                    pass
+            raise CampaignError(
+                f"run manifest {path} is unreadable: line {number} is not "
+                f"JSON ({exc})"
+            ) from exc
+        length += len(line) + 1
+    return records, length
 
 
 class RunManifest:
-    """The on-disk checkpoint of a campaign: one JSON entry per task.
+    """The on-disk checkpoint of a campaign: an append-only journal.
 
     Entries record status (``"done"`` or ``"quarantined"``), attempt
     count, elapsed seconds, the error (for quarantined tasks) and a
     JSON-serialisable payload summarising the result (for ``run_all``
-    artifacts: their reproduction checks).  The file is rewritten
-    atomically (temp file + rename) after every task, so a kill at any
-    point leaves a loadable manifest.
+    artifacts: their reproduction checks).  The file holds JSON lines:
+    a ``{"version": 2}`` header, then one ``{"name": ..., "entry": ...}``
+    line per finished task, appended and fsynced as the task finishes,
+    so lines are in completion order.  When a name appears more than
+    once its last line wins.  A kill at any instant leaves at worst a
+    torn last line, which :meth:`load` drops.
 
-    Each entry is JSON-encoded once: :meth:`save` caches the encoded
-    text per task and re-encodes an entry only when ``tasks`` holds a
-    different object under its name.  A save therefore encodes only the
-    new entry, although it still rewrites the whole file.
+    With ``path=None`` the manifest lives in memory only.
     """
 
-    def __init__(self, path: Union[str, Path]) -> None:
-        self.path = Path(path)
+    def __init__(self, path: Optional[Union[str, Path]]) -> None:
+        self.path = Path(path) if path is not None else None
         self.tasks: Dict[str, Dict[str, Any]] = {}
-        # Task name -> (the entry object, its encoded text).
-        self._encoded: Dict[str, Tuple[Dict[str, Any], str]] = {}
+        # Bytes of the journal written or loaded so far; 0 makes the
+        # next append start the file afresh, header first.
+        self._length = 0
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "RunManifest":
-        """Load an existing manifest; empty when the file is missing."""
+        """Load an existing journal; empty when the file is missing.
+
+        A torn last line is dropped and the file truncated to before
+        it, so the next append lands on a line boundary.
+        """
         manifest = cls(path)
-        # A crash between writing the temp file and the atomic rename
-        # can orphan a *.tmp next to the manifest; it holds no state the
-        # manifest itself lacks, so clear it out.
-        cleanup_stale_tmp(manifest.path)
         if not manifest.path.exists():
             return manifest
         try:
-            data = json.loads(read_text(manifest.path, site="manifest"))
-        except (OSError, json.JSONDecodeError) as exc:
+            data = read_bytes(manifest.path, site="manifest")
+        except OSError as exc:
             raise CampaignError(
                 f"run manifest {manifest.path} is unreadable: {exc}"
             ) from exc
-        tasks = data.get("tasks") if isinstance(data, dict) else None
-        if not isinstance(tasks, dict) or not all(
-            isinstance(entry, dict) for entry in tasks.values()
-        ):
-            raise CampaignError(
-                f"run manifest {manifest.path} is malformed (tasks must be "
-                "an object of entry objects)"
-            )
-        version = data.get("version")
+        records, length = _parse_journal(manifest.path, data)
+        header = records[0] if records else {"version": MANIFEST_VERSION}
+        version = header.get("version") if isinstance(header, dict) else None
         if isinstance(version, int) and version > MANIFEST_VERSION:
             raise CampaignError(
                 f"run manifest {manifest.path} has version {version}, "
@@ -181,7 +198,20 @@ class RunManifest:
                 f"this runner writes version {MANIFEST_VERSION} "
                 "(delete the manifest to start a fresh campaign)"
             )
-        manifest.tasks = dict(tasks)
+        for number, record in enumerate(records[1:], 2):
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("name"), str)
+                and isinstance(record.get("entry"), dict)
+            ):
+                raise CampaignError(
+                    f"run manifest {manifest.path} is malformed at line "
+                    f"{number} (expected a name and an entry object)"
+                )
+            manifest.tasks[record["name"]] = record["entry"]
+        if length < len(data):
+            os.truncate(manifest.path, length)
+        manifest._length = length
         return manifest
 
     def is_done(self, name: str) -> bool:
@@ -194,36 +224,23 @@ class RunManifest:
         return self.tasks.get(name)
 
     def record(self, name: str, entry: Dict[str, Any]) -> None:
-        """Record (and checkpoint) one task's outcome."""
+        """Record one task's outcome; journal it when the manifest has a path."""
         self.tasks[name] = entry
-        self.save()
+        if self.path is not None:
+            self.save(name)
 
-    def save(self) -> None:
-        """Atomically rewrite the manifest file.
+    def save(self, name: str) -> None:
+        """Append ``name``'s entry to the journal as one fsynced line.
 
-        Task entries are written in sorted-name order so the file layout
-        does not depend on completion order — a parallel campaign and a
-        serial one produce the same manifest structure.  The text is
-        byte-identical to ``json.dumps({"version": ..., "tasks": ...},
-        indent=2)``, assembled from per-entry fragments encoded once.
+        The first append of a fresh manifest writes the header first,
+        replacing any older file.  The journal is the campaign's resume
+        point: ESSENTIAL.
         """
-        encoded = {}
-        for name in sorted(self.tasks):
-            entry = self.tasks[name]
-            cached = self._encoded.get(name)
-            if cached is None or cached[0] is not entry:
-                cached = (entry, _encode_entry(name, entry))
-            encoded[name] = cached
-        self._encoded = encoded
-        members = ",\n    ".join(fragment for _, fragment in encoded.values())
-        tasks = "{\n    " + members + "\n  }" if members else "{}"
-        # The manifest is the campaign's resume point: ESSENTIAL.
-        persist_text(
-            self.path,
-            f'{{\n  "version": {json.dumps(MANIFEST_VERSION)},\n'
-            f'  "tasks": {tasks}\n}}\n',
-            site="manifest",
-            durability=Durability.ESSENTIAL,
+        line = json.dumps({"name": name, "entry": self.tasks[name]}) + "\n"
+        if not self._length:
+            line = json.dumps({"version": MANIFEST_VERSION}) + "\n" + line
+        self._length = append_text(
+            self.path, line, length=self._length, site="manifest"
         )
 
     def results(self) -> Dict[str, Dict[str, Any]]:
@@ -285,6 +302,13 @@ def _label(status: str, entry: Optional[Dict[str, Any]]) -> str:
     return {"skipped": "SKIP", "quarantined": "QUARANTINED"}.get(
         status, status.upper()
     )
+
+
+def _skipped(name: str, progress: Optional[Callable[[str], None]]) -> TaskOutcome:
+    """The outcome of a task that a previous run already completed."""
+    if progress is not None:
+        progress(f"{name}: already done (resumed)")
+    return TaskOutcome(name=name, status="skipped", attempts=0, elapsed_seconds=0.0)
 
 
 @dataclass
@@ -363,7 +387,7 @@ class CampaignRunner:
     Parameters
     ----------
     manifest_path:
-        Where the JSON checkpoint lives.  ``None`` disables
+        Where the manifest journal lives.  ``None`` disables
         checkpointing (every run starts fresh, nothing is written).
     timeout:
         Per-task wall-clock budget in seconds; ``None`` disables it.
@@ -382,7 +406,7 @@ class CampaignRunner:
         (:class:`repro.sim.parallel.TaskPool`): the timeout is enforced
         by the *parent* (a hung worker is killed, not merely signalled),
         retry/quarantine semantics are unchanged, manifest entries are
-        still checkpointed atomically as each task completes, and
+        still journalled as each task completes, and
         outcomes are reported in canonical task order so the campaign
         result matches a serial run.  Falls back to serial where the
         ``fork`` start method is unavailable.
@@ -498,8 +522,7 @@ class CampaignRunner:
         With ``resume=True`` (the default) tasks already marked done in
         the manifest are skipped, so re-invoking an interrupted campaign
         completes only the remaining work.  A ``KeyboardInterrupt``
-        checkpoints the manifest before propagating — the canonical
-        "killed mid-campaign" path.
+        simply propagates: every finished task is already journalled.
         """
         names = [name for name, _ in tasks]
         require(
@@ -509,11 +532,8 @@ class CampaignRunner:
         )
         if self.manifest_path is not None and resume:
             manifest = RunManifest.load(self.manifest_path)
-        elif self.manifest_path is not None:
-            manifest = RunManifest(self.manifest_path)
         else:
-            manifest = RunManifest(Path(os.devnull))
-            manifest.save = lambda: None  # type: ignore[method-assign]
+            manifest = RunManifest(self.manifest_path)
         result = CampaignResult(manifest=manifest)
         if self.jobs > 1:
             from repro.sim.parallel import parallel_available
@@ -522,12 +542,7 @@ class CampaignRunner:
                 return self._run_parallel(tasks, resume, manifest, result, progress)
         for name, thunk in tasks:
             if resume and manifest.is_done(name):
-                outcome = TaskOutcome(
-                    name=name, status="skipped", attempts=0, elapsed_seconds=0.0
-                )
-                result.outcomes.append(outcome)
-                if progress is not None:
-                    progress(f"{name}: already done (resumed)")
+                result.outcomes.append(_skipped(name, progress))
                 continue
             outcome = self._run_task(name, thunk, manifest)
             result.outcomes.append(outcome)
@@ -546,7 +561,7 @@ class CampaignRunner:
         """Dispatch runnable tasks to the fork-backed pool.
 
         Resume semantics match the serial path (done tasks are skipped);
-        each completing worker checkpoints its manifest entry at once;
+        each completing worker's manifest entry is journalled at once;
         outcomes are merged back in canonical task order so a parallel
         campaign's :class:`CampaignResult` equals a serial run's.
         """
@@ -556,18 +571,21 @@ class CampaignRunner:
         runnable: List[Task] = []
         for name, thunk in tasks:
             if resume and manifest.is_done(name):
-                skipped[name] = TaskOutcome(
-                    name=name, status="skipped", attempts=0, elapsed_seconds=0.0
-                )
-                if progress is not None:
-                    progress(f"{name}: already done (resumed)")
+                skipped[name] = _skipped(name, progress)
             else:
                 runnable.append((name, thunk))
 
         outcomes: Dict[str, TaskOutcome] = {}
 
         def on_result(pool_result: PoolResult) -> None:
-            outcome = self._record_pool_result(pool_result, manifest)
+            outcome = self._finish(
+                manifest,
+                pool_result.name,
+                pool_result.attempts,
+                pool_result.elapsed_seconds,
+                result=pool_result.value,
+                error=None if pool_result.ok else pool_result.error,
+            )
             outcomes[outcome.name] = outcome
             if progress is not None:
                 label = _label(outcome.status, manifest.entry(outcome.name))
@@ -587,62 +605,45 @@ class CampaignRunner:
             rss_limit_bytes=self.rss_limit_bytes,
             registry=self.registry,
         )
-        try:
-            pool.run(runnable, on_result=on_result)
-        except KeyboardInterrupt:
-            # Killed mid-campaign: everything completed so far is
-            # already checkpointed; persist and let the interrupt
-            # unwind — the next run resumes from here.
-            manifest.save()
-            raise
+        # An interrupt unwinds from here: every completed task is
+        # already journalled, so the next run resumes after it.
+        pool.run(runnable, on_result=on_result)
         result.outcomes.extend(
             skipped[name] if name in skipped else outcomes[name]
             for name, _ in tasks
         )
         return result
 
-    def _record_pool_result(
-        self, pool_result: "Any", manifest: RunManifest
+    def _finish(
+        self,
+        manifest: RunManifest,
+        name: str,
+        attempts: int,
+        elapsed: float,
+        result: Any = None,
+        error: Optional[BaseException] = None,
+        timeout_enforced: bool = True,
     ) -> TaskOutcome:
-        """Checkpoint one pool completion; mirror the serial entries."""
-        if pool_result.ok:
-            manifest.record(
-                pool_result.name,
-                {
-                    "status": "done",
-                    "attempts": pool_result.attempts,
-                    "elapsed_seconds": round(pool_result.elapsed_seconds, 3),
-                    "error": None,
-                    "error_type": None,
-                    "payload": self.payload_of(pool_result.value),
-                },
-            )
-            return TaskOutcome(
-                name=pool_result.name,
-                status="done",
-                attempts=pool_result.attempts,
-                elapsed_seconds=pool_result.elapsed_seconds,
-                result=pool_result.value,
-            )
-        error = pool_result.error
-        manifest.record(
-            pool_result.name,
-            {
-                "status": "quarantined",
-                "attempts": pool_result.attempts,
-                "elapsed_seconds": round(pool_result.elapsed_seconds, 3),
-                "error": str(error),
-                "error_type": type(error).__name__,
-                "payload": None,
-            },
-        )
+        """Journal one finished task (quarantined when ``error`` is set)."""
+        entry = {
+            "status": "done" if error is None else "quarantined",
+            "attempts": attempts,
+            "elapsed_seconds": round(elapsed, 3),
+            "error": None if error is None else str(error),
+            "error_type": None if error is None else type(error).__name__,
+            "payload": None if error is not None else self.payload_of(result),
+        }
+        if not timeout_enforced:
+            entry["timeout_enforced"] = False
+        manifest.record(name, entry)
         return TaskOutcome(
-            name=pool_result.name,
-            status="quarantined",
-            attempts=pool_result.attempts,
-            elapsed_seconds=pool_result.elapsed_seconds,
-            error_type=type(error).__name__,
-            error=str(error),
+            name=name,
+            status=entry["status"],
+            attempts=attempts,
+            elapsed_seconds=elapsed,
+            error_type=entry["error_type"],
+            error=entry["error"],
+            result=result,
         )
 
     def _run_task(
@@ -654,69 +655,29 @@ class CampaignRunner:
             attempt += 1
             try:
                 task_result = self._call_with_timeout(name, thunk)
-            except KeyboardInterrupt:
-                # Killed mid-task: checkpoint what we have, then let the
-                # interrupt unwind — the next run resumes from here.
-                manifest.save()
-                raise
-            except TaskTimeoutError as exc:
-                # A hung task will hang again — straight to quarantine.
-                return self._quarantine(name, manifest, attempt, started, exc)
-            except self.transient_types as exc:
-                if isinstance(exc, ReproError) or attempt >= self.retry.max_attempts:
-                    return self._quarantine(name, manifest, attempt, started, exc)
-                self.sleep(self.retry.delay(attempt))
-                continue
             except Exception as exc:
-                return self._quarantine(name, manifest, attempt, started, exc)
-            elapsed = self.clock() - started
-            entry = {
-                "status": "done",
-                "attempts": attempt,
-                "elapsed_seconds": round(elapsed, 3),
-                "error": None,
-                "error_type": None,
-                "payload": self.payload_of(task_result),
-            }
-            if not self._last_timeout_enforced:
-                entry["timeout_enforced"] = False
-            manifest.record(name, entry)
-            return TaskOutcome(
-                name=name,
-                status="done",
-                attempts=attempt,
-                elapsed_seconds=elapsed,
+                # Model errors are deterministic and a hung task will
+                # hang again (TaskTimeoutError is a ReproError too), so
+                # only other transient failures are retried.
+                if (
+                    isinstance(exc, self.transient_types)
+                    and not isinstance(exc, ReproError)
+                    and attempt < self.retry.max_attempts
+                ):
+                    self.sleep(self.retry.delay(attempt))
+                    continue
+                error, task_result = exc, None
+            else:
+                error = None
+            return self._finish(
+                manifest,
+                name,
+                attempt,
+                self.clock() - started,
                 result=task_result,
+                error=error,
+                timeout_enforced=self._last_timeout_enforced,
             )
-
-    def _quarantine(
-        self,
-        name: str,
-        manifest: RunManifest,
-        attempts: int,
-        started: float,
-        exc: BaseException,
-    ) -> TaskOutcome:
-        elapsed = self.clock() - started
-        entry = {
-            "status": "quarantined",
-            "attempts": attempts,
-            "elapsed_seconds": round(elapsed, 3),
-            "error": str(exc),
-            "error_type": type(exc).__name__,
-            "payload": None,
-        }
-        if not self._last_timeout_enforced:
-            entry["timeout_enforced"] = False
-        manifest.record(name, entry)
-        return TaskOutcome(
-            name=name,
-            status="quarantined",
-            attempts=attempts,
-            elapsed_seconds=elapsed,
-            error_type=type(exc).__name__,
-            error=str(exc),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -175,6 +175,23 @@ class TestDistance:
         with pytest.raises(ScheduleError):
             distance(TdmSchedule((0, 1, 1), 10), 0, 1)
 
+    def test_non_one_slot_raises_even_between_single_slot_cores(self):
+        # Cores 0 and 1 own one slot each, but core 2 owns two: the
+        # schedule is not 1S-TDM, so no distance is defined in it.
+        schedule = TdmSchedule((0, 1, 2, 2), 10)
+        for _ in range(2):  # the verdict is fixed, not consumed
+            with pytest.raises(ScheduleError, match=r"cores \[2\]"):
+                distance(schedule, 0, 1)
+
+    @pytest.mark.parametrize(
+        "owners", [(0,), (0, 1), (1, 0, 2), (0, 0), (0, 1, 0), (3, 1, 3, 2)]
+    )
+    def test_one_slot_verdict_matches_definition(self, owners):
+        schedule = TdmSchedule(owners, 10)
+        assert schedule.is_one_slot == all(
+            len(schedule.slots_of(core)) == 1 for core in schedule.cores
+        )
+
     def test_unknown_core_rejected(self):
         with pytest.raises(ScheduleError):
             distance(one_slot_tdm(2, 10), 0, 5)

@@ -443,16 +443,6 @@ def test_manifest_rejects_newer_version_with_actionable_error(tmp_path):
     assert "delete the manifest" in str(excinfo.value)
 
 
-def test_manifest_load_sweeps_stale_tmp(tmp_path):
-    path = tmp_path / "manifest.json"
-    manifest = RunManifest(path)
-    manifest.record("t1", {"status": "done", "payload": 1})
-    tmp_sibling(path).write_text("torn")
-    loaded = RunManifest.load(path)
-    assert loaded.is_done("t1")
-    assert not tmp_sibling(path).exists()
-
-
 # ----------------------------------------------------------------------
 # Satellite: atomic metrics exporters
 # ----------------------------------------------------------------------

@@ -150,3 +150,50 @@ class TestBadInput:
         assert excinfo.value.code == 2
         assert "--requests: must be positive" in capsys.readouterr().err
         assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "SS(1,16,4)", "--cores", "0"],
+            ["bounds", "SS(1,16,4)", "--slot-width", "0"],
+            ["bounds", "SS(1,16,4)", "--cores", "2"],
+            ["unbounded", "--lengths", "5"],
+            ["unbounded", "--lengths", "40", "40"],
+        ],
+    )
+    def test_bad_analysis_parameters_are_a_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert "grows with the stream" not in captured.out
+
+    @pytest.mark.parametrize("slots", ["0", "-3"])
+    def test_non_positive_timeline_slots_rejected_at_parse_time(
+        self, slots, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["timeline", "--slots", slots])
+        assert excinfo.value.code == 2
+        assert "--slots: must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, manifest",
+        [("all", "manifest.json"), ("fuzz", "fuzz-manifest.json")],
+    )
+    def test_version_1_manifest_is_a_usage_error(
+        self, command, manifest, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        document = json.dumps({"version": 1, "tasks": {}}, indent=2) + "\n"
+        (out / manifest).write_text(document)
+        argv = [command, "--out", str(out)]
+        argv += ["--requests", "10"] if command == "all" else ["--budget", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run manifest ")
+        assert err.count("\n") == 1
+        assert "delete the manifest to start a fresh campaign" in err
+        assert (out / manifest).read_text() == document

@@ -16,7 +16,6 @@ metrics export, manifest), and prove that
   the campaign with byte-identical final artifacts.
 """
 
-import json
 import random
 from pathlib import Path
 
@@ -26,7 +25,6 @@ from sim_helpers import small_config, write_trace_of
 
 from repro.common import fileio
 from repro.common.errors import ObservabilityError, PersistenceError
-from repro.common.fileio import persist_text
 from repro.obs.collect import collect_metrics
 from repro.obs.exporters import write_metrics
 from repro.robustness.iofault import (
@@ -36,6 +34,7 @@ from repro.robustness.iofault import (
     io_faults,
     record_io_operations,
 )
+from repro.robustness.runner import RunManifest
 from repro.sim.cache import clear_result_cache, install_result_cache
 from repro.sim.export import write_report_json
 from repro.sim.simulator import simulate
@@ -64,8 +63,8 @@ def run_campaign(root: Path, config, traces):
     Two simulations under the result cache — a cold run computed with an
     explicit checkpoint file, then a disk cache hit — followed by the
     three essential artifacts a real campaign ends with: the report
-    JSON, the metrics export and a manifest.  Returns the first report's
-    latencies.
+    JSON, the metrics export and a manifest journal recorded through
+    :class:`RunManifest`.  Returns the first report's latencies.
     """
     cache = install_result_cache(root / "cache")
     try:
@@ -82,18 +81,16 @@ def run_campaign(root: Path, config, traces):
         write_metrics(
             collect_metrics(first, config.slot_width), root / "metrics.jsonl"
         )
-        persist_text(
-            root / "manifest.json",
-            json.dumps(
+        # Two records: one creates the journal, one appends to it.
+        manifest = RunManifest(root / "manifest.json")
+        for name, report in (("cold", first), ("warm", again)):
+            manifest.record(
+                name,
                 {
-                    "observed_wcl": first.observed_wcl(),
-                    "latencies": first.latencies(),
+                    "observed_wcl": report.observed_wcl(),
+                    "latencies": report.latencies(),
                 },
-                sort_keys=True,
             )
-            + "\n",
-            site="manifest",
-        )
     finally:
         clear_result_cache()
     return first.latencies()
@@ -170,6 +167,13 @@ def test_campaign_exercises_every_store_and_is_bounded(reference):
     } <= sites
     ops = {op.op for op in reference["operations"]}
     assert {"open", "write", "fsync", "replace", "fsync-dir", "read"} <= ops
+    # The manifest journal's appends are swept op by op too.
+    journal_ops = [op.op for op in reference["operations"] if op.site == "manifest"]
+    assert journal_ops == ["open", "write", "fsync", "fsync-dir"] + [
+        "open",
+        "write",
+        "fsync",
+    ]
     assert 10 <= len(reference["operations"]) <= 300
 
 

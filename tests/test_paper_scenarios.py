@@ -12,6 +12,7 @@
 import pytest
 
 from repro.analysis.unbounded import starvation_witness
+from repro.common.errors import AnalysisError
 from repro.analysis.wcl import SharedPartitionParams, wcl_nss_cycles, wcl_ss_cycles
 from repro.bus.arbiter import ArbitrationPolicy
 from repro.bus.schedule import TdmSchedule, one_slot_tdm
@@ -31,6 +32,11 @@ class TestFigure2Unbounded:
         result = starvation_witness(stream_lengths=(20, 40, 80), ways=2)
         assert len(set(result.one_slot_latencies)) == 1
         assert result.one_slot_bounded
+
+    @pytest.mark.parametrize("lengths", [(), (20,), (20, 20)])
+    def test_growth_needs_two_distinct_stream_lengths(self, lengths):
+        with pytest.raises(AnalysisError, match="two distinct stream lengths"):
+            starvation_witness(stream_lengths=lengths, ways=2)
 
     def test_growth_is_roughly_linear_in_stream_length(self):
         result = starvation_witness(stream_lengths=(25, 50, 100), ways=2)

@@ -13,6 +13,7 @@ from repro.common.errors import (
     TaskTimeoutError,
 )
 from repro.robustness.runner import (
+    MANIFEST_VERSION,
     CampaignRunner,
     RetryPolicy,
     RunManifest,
@@ -161,13 +162,19 @@ class TestManifestAndResume:
         seen = []
 
         def spy():
-            seen.append(json.loads(path.read_text()) if path.exists() else None)
+            seen.append(
+                [json.loads(line) for line in path.read_text().splitlines()]
+            )
             return "ok"
 
         runner = CampaignRunner(manifest_path=path)
         runner.run([("first", lambda: 1), ("second", spy)])
-        # By the time 'second' starts, 'first' is already checkpointed.
-        assert seen[0]["tasks"]["first"]["status"] == "done"
+        # By the time 'second' starts, 'first' is already journalled:
+        # the header line, then one line for the finished task.
+        header, first = seen[0]
+        assert header == {"version": MANIFEST_VERSION}
+        assert first["name"] == "first"
+        assert first["entry"]["status"] == "done"
 
     def test_resume_skips_done_tasks(self, tmp_path):
         path = tmp_path / "m.json"
@@ -213,25 +220,32 @@ class TestManifestAndResume:
 
     def test_malformed_manifest_is_a_campaign_error(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text("not json at all {")
-        with pytest.raises(CampaignError, match="unreadable"):
+        header = json.dumps({"version": MANIFEST_VERSION}) + "\n"
+        good = json.dumps({"name": "a", "entry": {"status": "done"}}) + "\n"
+        # A line that does not parse is torn only when it is the last.
+        path.write_text(header + "not json at all {\n" + good)
+        with pytest.raises(CampaignError, match="unreadable: line 2"):
             RunManifest.load(path)
-        # Valid JSON whose tasks are not an object of entry objects.
-        for data in (
-            {"version": 1},
-            {"version": 1, "tasks": "abc"},
-            {"version": 1, "tasks": [1, 2]},
-            {"version": 1, "tasks": None},
-            {"version": 1, "tasks": {"a": 5}},
-            {"version": 1, "tasks": {"a": {}, "b": []}},
+        # Lines that parse but are not a name plus an entry object.
+        for record in (
+            5,
+            [1, 2],
+            None,
+            {"name": "a"},
+            {"entry": {}},
+            {"name": 1, "entry": {}},
+            {"name": "a", "entry": []},
         ):
-            path.write_text(json.dumps(data))
-            with pytest.raises(CampaignError, match="malformed"):
+            path.write_text(header + json.dumps(record) + "\n" + good)
+            with pytest.raises(CampaignError, match="malformed at line 2"):
+                RunManifest.load(path)
+            path.write_text(header + good + json.dumps(record) + "\n")
+            with pytest.raises(CampaignError, match="malformed at line 3"):
                 RunManifest.load(path)
 
     def test_wrong_version_is_a_campaign_error(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"version": 999, "tasks": {}}))
+        path.write_text(json.dumps({"version": 999}) + "\n")
         with pytest.raises(CampaignError, match="version"):
             RunManifest.load(path)
 
@@ -306,22 +320,29 @@ class TestManifestDurability:
         assert path.exists()
         assert not (tmp_path / "m.json.tmp").exists()
 
-    def test_load_removes_stale_tmp_leftover(self, tmp_path):
+    def test_load_drops_torn_tail_of_a_lone_header(self, tmp_path):
         path = tmp_path / "m.json"
-        stale = tmp_path / "m.json.tmp"
-        stale.write_text("torn half-write from a crashed checkpoint")
+        path.write_text('{"vers')
         manifest = RunManifest.load(path)
-        assert not stale.exists()
         assert manifest.tasks == {}
+        assert path.read_bytes() == b""
+        # The next record starts the journal afresh, header first.
+        manifest.record("a", {"status": "done"})
+        assert RunManifest.load(path).is_done("a")
 
-    def test_load_removes_stale_tmp_next_to_real_manifest(self, tmp_path):
+    def test_load_drops_torn_tail_next_to_real_records(self, tmp_path):
         path = tmp_path / "m.json"
         CampaignRunner(manifest_path=path).run([("a", lambda: 1)])
-        stale = tmp_path / "m.json.tmp"
-        stale.write_text("torn")
+        complete = path.read_bytes()
+        with open(path, "a") as handle:
+            handle.write('{"name": "b", "entry": {"sta')
         manifest = RunManifest.load(path)
-        assert not stale.exists()
-        assert manifest.is_done("a")
+        assert manifest.is_done("a") and manifest.entry("b") is None
+        assert path.read_bytes() == complete
+        CampaignRunner(manifest_path=path).run(
+            [("a", lambda: 1), ("b", lambda: 2)]
+        )
+        assert RunManifest.load(path).is_done("b")
 
 
 class TestTimeoutUnenforceable:
